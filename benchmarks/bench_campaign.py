@@ -3,13 +3,12 @@
 
 Runs the same miniature paper campaign through the flow executor — on
 the ``SerialBackend``, on a multi-process ``ProcessPoolBackend``, on
-the ``LockstepBackend`` (eligible flows share one event wheel), on
-the ``AutoBackend`` (which probes the batch and picks
-lockstep/serial/pool itself), and finally twice through a throw-away
-``ResultStore`` (a cold populating run, then a warm all-hits one) —
-and reports flows/sec for each, the serial→pool and serial→lockstep
-speedups, the auto backend's recorded decision, and the warm-cache
-speedup, in ``BENCH_campaign.json``.  Each run also appends a
+the ``AutoBackend`` (which probes the batch and picks serial/pool
+itself), twice through a throw-away ``ResultStore`` (a cold
+populating run, then a warm all-hits one), and on the campaign
+fabric — and reports flows/sec for each, the serial→pool speedup, the
+auto backend's recorded decision, and the warm-cache speedup, in
+``BENCH_campaign.json``.  Each run also appends a
 timestamped one-line summary to ``BENCH_history.jsonl``.
 
 All runs must produce identical traces and an identical campaign
@@ -76,18 +75,6 @@ def _timed_auto_campaign(flow_scale: float, duration: float, cc: str):
     return dataset, elapsed, backend.last_decision
 
 
-def _timed_lockstep_campaign(flow_scale: float, duration: float, cc: str):
-    """The lockstep leg: eligible flows share one event wheel."""
-    from repro.traces.generator import generate_dataset
-
-    start = time.perf_counter()
-    dataset = generate_dataset(
-        seed=2015, duration=duration, flow_scale=flow_scale, workers="lockstep", cc=cc
-    )
-    elapsed = time.perf_counter() - start
-    return dataset, elapsed
-
-
 def _timed_cached_campaign(flow_scale: float, duration: float, cc: str):
     """Cold (populate) then warm (all hits) run through a ResultStore."""
     import tempfile
@@ -146,7 +133,6 @@ def run_benchmark(
         workers = min(4, cpu_count)
     serial_dataset, serial_s = _timed_campaign(flow_scale, duration, 1, cc)
     parallel_dataset, parallel_s = _timed_campaign(flow_scale, duration, workers, cc)
-    lockstep_dataset, lockstep_s = _timed_lockstep_campaign(flow_scale, duration, cc)
     auto_dataset, auto_s, auto_decision = _timed_auto_campaign(flow_scale, duration, cc)
     warm_dataset, cold_s, warm_s = _timed_cached_campaign(flow_scale, duration, cc)
     fabric_dataset, fabric_s, fabric_round_trips = _timed_fabric_campaign(
@@ -158,8 +144,6 @@ def run_benchmark(
     identical = (
         serial_report == parallel_dataset.report.to_json()
         and serial_pickles == _trace_pickles(parallel_dataset)
-        and serial_report == lockstep_dataset.report.to_json()
-        and serial_pickles == _trace_pickles(lockstep_dataset)
         and serial_report == auto_dataset.report.to_json()
         and serial_pickles == _trace_pickles(auto_dataset)
         and serial_report == warm_dataset.report.to_json()
@@ -182,11 +166,6 @@ def run_benchmark(
             "workers": workers,
             "elapsed_s": round(parallel_s, 4),
             "flows_per_s": round(flows / parallel_s, 4) if parallel_s else 0.0,
-        },
-        "lockstep": {
-            "elapsed_s": round(lockstep_s, 4),
-            "flows_per_s": round(flows / lockstep_s, 4) if lockstep_s else 0.0,
-            "speedup": round(serial_s / lockstep_s, 4) if lockstep_s else 0.0,
         },
         "auto": {
             "elapsed_s": round(auto_s, 4),
@@ -238,7 +217,6 @@ def main(argv=None) -> int:
             "flows": result["flows"],
             "serial_flows_per_s": result["serial"]["flows_per_s"],
             "parallel_flows_per_s": result["parallel"]["flows_per_s"],
-            "lockstep_flows_per_s": result["lockstep"]["flows_per_s"],
             "auto_mode": result["auto"]["decision"].get("mode")
             if result["auto"]["decision"]
             else None,
@@ -254,8 +232,6 @@ def main(argv=None) -> int:
           f"{result['parallel']['workers']} workers "
           f"{result['parallel']['flows_per_s']:.2f} flows/s "
           f"(speedup {result['speedup']:.2f}x), "
-          f"lockstep {result['lockstep']['flows_per_s']:.2f} flows/s "
-          f"({result['lockstep']['speedup']:.2f}x), "
           f"auto {result['auto']['flows_per_s']:.2f} flows/s "
           f"[{result['auto']['decision']['mode']}], "
           f"warm cache {result['cached']['warm_flows_per_s']:.2f} flows/s "

@@ -231,7 +231,7 @@ def smoke_bench() -> None:
     if record["serial"]["flows_per_s"] <= 0.0:
         fail("bench: non-positive serial throughput")
     decision = record["auto"]["decision"]
-    if not decision or decision.get("mode") not in ("serial", "pool", "lockstep"):
+    if not decision or decision.get("mode") not in ("serial", "pool"):
         fail("bench: auto backend recorded no usable decision")
     print(f"smoke: bench ok — {record['serial']['flows_per_s']:.1f} flows/s serial, "
           f"speedup {record['speedup']:.2f}x with "

@@ -16,7 +16,6 @@ from repro.exec.executor import (
     ExecutionResult,
     Executor,
     FlowOutcome,
-    LockstepBackend,
     ProcessPoolBackend,
     SerialBackend,
     simulate_spec,
@@ -39,7 +38,6 @@ __all__ = [
     "Executor",
     "FlowOutcome",
     "FlowSpec",
-    "LockstepBackend",
     "ProcessPoolBackend",
     "ResolvedFlow",
     "SerialBackend",

@@ -63,7 +63,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.exec.executor import (
     AutoBackend,
     FlowOutcome,
-    LockstepBackend,
     ProcessPoolBackend,
     SerialBackend,
 )
@@ -273,6 +272,8 @@ class SupervisedBackend:
     Wraps any executor backend; the inner backend decides the execution
     *mode* (serial inline vs worker pool, and the worker count), while
     the supervisor owns the pool itself so it can kill and rebuild it.
+    This is the one engine that runs pool and auto batches:
+    ``ProcessPoolBackend.map`` and ``AutoBackend.map`` delegate here.
     Payloads must follow the executor contract —
     ``(index, FlowSpec, RetryPolicy)`` tuples mapped over a picklable
     function — which is exactly what :class:`~repro.exec.executor.Executor`
@@ -372,42 +373,18 @@ class SupervisedBackend:
     ) -> Tuple[int, bool]:
         """(workers, use_pool) for this batch, honouring the inner backend.
 
-        An :class:`~repro.exec.executor.AutoBackend` inner still gets
-        its serial probe: the head runs inline here (its results are
-        kept), and the probe's projection decides whether the tail is
-        worth a pool — the decision lands on ``inner.last_decision``
-        exactly as an unsupervised auto run would record it.
-
-        Lockstep inners (and auto picking lockstep) run the whole
-        batch right here, group by group, completing through the
-        supervisor's bookkeeping so drains land between groups; when
-        supervision *forces* a pool (chaos actions, ``deadline_s`` —
-        both need a process boundary), lockstep is bypassed and the
-        batch runs per-item like any pooled map, which is always
-        byte-equivalent.
+        An :class:`~repro.exec.executor.AutoBackend` inner gets its
+        serial probe: the head runs inline here (its results are kept),
+        and the probe's projection decides whether the tail is worth a
+        pool — the decision lands on ``inner.last_decision``.
         """
         inner = self.inner
         forced = self._requires_pool(items) or self.policy.deadline_s is not None
         if isinstance(inner, ProcessPoolBackend):
             workers = min(inner.workers, max(len(items), 1))
             return workers, workers > 1 or forced
-        if isinstance(inner, LockstepBackend) and not forced:
-            self._run_lockstep(
-                inner, fn, tracked, drain, results, progress, done_box
-            )
-            return 1, False
         if isinstance(inner, AutoBackend):
-            if not forced:
-                candidate = inner.lockstep_candidate(
-                    fn, [t.payload for t in tracked]
-                )
-                if candidate is not None:
-                    return self._race_lockstep(
-                        candidate, inner, fn, tracked, drain, results,
-                        progress, done_box,
-                    )
-            head, use_pool, workers = inner.probe(
-                fn,
+            use_pool, workers = inner.probe(
                 items,
                 runner=lambda item, position: self._run_one_inline(
                     fn, tracked[position], drain, results, progress, done_box
@@ -417,90 +394,6 @@ class SupervisedBackend:
         # Serial (or unknown) inner: inline unless preemption forces a
         # process boundary.
         return 1, forced
-
-    # -- lockstep execution --------------------------------------------
-
-    def _race_lockstep(
-        self, backend, inner, fn, tracked, drain, results, progress, done_box
-    ) -> Tuple[int, bool]:
-        """Auto's lockstep race under supervision; ``(workers, use_pool)``.
-
-        The first payloads run serial and the next group runs on one
-        shared wheel — both timed, both completed through supervisor
-        bookkeeping, so nothing is wasted.  The remainder goes to
-        whichever paced faster (lockstep groups here; serial or a
-        projected pool via the returned mode otherwise).
-        """
-        clock = inner._clock
-        start = clock()
-        for item in tracked[: inner.PROBE_ITEMS]:
-            self._run_one_inline(fn, item, drain, results, progress, done_box)
-        serial_s = clock() - start
-        if drain.tripped:
-            return 1, False
-        group = tracked[
-            inner.PROBE_ITEMS : inner.PROBE_ITEMS + inner.LOCKSTEP_PROBE_ITEMS
-        ]
-        start = clock()
-        for item in group:
-            item.executions += 1
-        outcomes = backend.run_group(fn, [item.payload for item in group])
-        for item, outcome in zip(group, outcomes):
-            self._complete(item, outcome, results, progress, done_box)
-        lockstep_s = clock() - start
-        serial_rate = serial_s / inner.PROBE_ITEMS
-        lockstep_rate = lockstep_s / len(group)
-        rest = tracked[inner.PROBE_ITEMS + inner.LOCKSTEP_PROBE_ITEMS :]
-        if inner.decide_lockstep(serial_rate, lockstep_rate, len(tracked)):
-            for chunk_start in range(0, len(rest), backend.group_size):
-                if drain.tripped:
-                    return 1, False
-                chunk = rest[chunk_start : chunk_start + backend.group_size]
-                for item in chunk:
-                    item.executions += 1
-                outcomes = backend.run_group(
-                    fn, [item.payload for item in chunk]
-                )
-                for item, outcome in zip(chunk, outcomes):
-                    self._complete(item, outcome, results, progress, done_box)
-            return 1, False
-        use_pool, workers = inner.project_pool(
-            serial_rate, len(rest), len(tracked)
-        )
-        return workers, use_pool
-
-    def _run_lockstep(
-        self, backend, fn, tracked, drain, results, progress, done_box
-    ) -> None:
-        """Drive a lockstep plan group by group under supervision.
-
-        Groups are atomic (one shared simulator each); the drain flag
-        is honoured between groups and before each ineligible single,
-        and every outcome flows through :meth:`_complete` so
-        supervisor-level failure merging and progress stay uniform.
-        A plan that does not apply (ambient watchdog appeared, foreign
-        ``fn``) degrades to the ordinary inline loop.
-        """
-        plan = backend.plan(fn, [t.payload for t in tracked])
-        if plan is None:
-            self._run_inline(fn, tracked, drain, results, progress, done_box)
-            return
-        chunks, singles = plan
-        for chunk in chunks:
-            if drain.tripped:
-                return
-            group = [tracked[position] for position in chunk]
-            for item in group:
-                item.executions += 1
-            outcomes = backend.run_group(fn, [item.payload for item in group])
-            for item, outcome in zip(group, outcomes):
-                self._complete(item, outcome, results, progress, done_box)
-        for position in singles:
-            if drain.tripped:
-                return
-            self._run_one_inline(
-                fn, tracked[position], drain, results, progress, done_box
-            )
 
     # -- inline execution ----------------------------------------------
 

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments list
     python -m repro.experiments run fig10 [--scale 1.0] [--seed 2015] [--json]
-    python -m repro.experiments run cross_cc --cc all [--workers lockstep]
+    python -m repro.experiments run cross_cc --cc all [--workers auto]
     python -m repro.experiments all [--scale 0.5]
 
 Every table and figure of the paper has an id here (``table1``,
@@ -83,15 +83,15 @@ __all__ = ["main"]
 
 
 def _workers_arg(value: str):
-    """Parse ``--workers``: an integer, 'auto', 'lockstep', or 'fabric'."""
-    if value in ("auto", "lockstep", "fabric"):
+    """Parse ``--workers``: an integer, 'auto', or 'fabric'."""
+    if value in ("auto", "fabric"):
         return value
     try:
         return int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"workers must be an integer, 'auto', 'lockstep', or "
-            f"'fabric', got {value!r}"
+            f"workers must be an integer, 'auto', or 'fabric', "
+            f"got {value!r}"
         )
 
 
@@ -174,11 +174,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=_workers_arg, default=1, metavar="N",
         help="fan campaign/sweep flows out over N processes, 'auto' to "
-             "probe the batch and pick lockstep/serial/pool, "
-             "'lockstep' to run eligible flows on one shared event "
-             "wheel in-process, or 'fabric' to run on the distributed "
-             "campaign fabric (see --fabric-workers); results are "
-             "byte-identical to a serial run any way (default 1)")
+             "probe the batch and pick serial/pool, or 'fabric' to "
+             "run on the distributed campaign fabric (see "
+             "--fabric-workers); results are byte-identical to a "
+             "serial run any way (default 1)")
     parser.add_argument(
         "--fabric-workers", type=int, default=2, metavar="N",
         help="with --workers fabric: local worker processes to spawn "

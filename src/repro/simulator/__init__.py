@@ -24,8 +24,8 @@ Typical use::
     print(result.throughput, result.log.ack_loss_rate)
 """
 
-# Registry functions live in repro.cc; importing them from there (not
-# the repro.simulator.cc shim) keeps package import deprecation-silent.
+# The congestion-control registry lives in repro.cc; its functions are
+# re-exported here for convenience.
 from repro.cc import (
     cc_names,
     get_cc,
@@ -47,15 +47,9 @@ from repro.simulator.channel import (
     TraceDrivenLoss,
 )
 from repro.simulator.compound import CompoundSender
-from repro.simulator.connection import (
-    ConnectionConfig,
-    FlowHarness,
-    FlowResult,
-    run_flow,
-)
+from repro.simulator.connection import ConnectionConfig, FlowResult, run_flow
 from repro.simulator.cubic import CubicSender
 from repro.simulator.engine import EventHandle, Simulator
-from repro.simulator.lockstep import run_lockstep
 from repro.simulator.metrics import (
     AckRecord,
     CwndSample,
@@ -87,7 +81,6 @@ __all__ = [
     "CwndSample",
     "DataPacketRecord",
     "EventHandle",
-    "FlowHarness",
     "FlowLog",
     "FlowResult",
     "GilbertElliottLoss",
@@ -116,6 +109,5 @@ __all__ = [
     "run_backup",
     "run_duplex",
     "run_flow",
-    "run_lockstep",
     "unregister_cc",
 ]

@@ -25,7 +25,7 @@ from repro.util.errors import BudgetExceededError, ConfigurationError
 from repro.util.rng import RngStream
 from repro.util.units import pps_to_mbps
 
-__all__ = ["ConnectionConfig", "FlowHarness", "FlowResult", "run_flow"]
+__all__ = ["ConnectionConfig", "FlowResult", "run_flow"]
 
 
 @dataclass(frozen=True)
@@ -148,168 +148,6 @@ def _jitter_fn(rng: Optional[RngStream], sigma: float) -> Optional[Callable[[], 
     return _BufferedJitter(rng, sigma)
 
 
-class FlowHarness:
-    """One fully wired TCP flow on a (possibly shared) simulator.
-
-    Extracts the wiring half of :func:`run_flow` so other drivers —
-    the lockstep campaign engine (:mod:`repro.simulator.lockstep`)
-    builds many harnesses on one shared event wheel — can construct
-    flows without re-running them one ``Simulator.run`` at a time.
-    Construction wires everything and calls ``sender.start()``; the
-    caller owns advancing the simulator and harvesting :meth:`result`.
-
-    Each harness owns a private :class:`PacketPool` shared by its
-    sender, receiver, and links, so steady-state rounds allocate no
-    packet objects and pooled packets never cross flows.
-    """
-
-    __slots__ = (
-        "config",
-        "simulator",
-        "log",
-        "pool",
-        "sender",
-        "receiver",
-        "data_link",
-        "ack_link",
-        "redundant_link",
-        "telemetry",
-    )
-
-    def __init__(
-        self,
-        config: ConnectionConfig,
-        *,
-        simulator: Simulator,
-        data_loss: Optional[LossModel] = None,
-        ack_loss: Optional[LossModel] = None,
-        seed: int = 0,
-        redundant_data_loss: Optional[LossModel] = None,
-        variant: str = "reno",
-        cc_params=None,
-        bottleneck_rate: Optional[float] = None,
-        bottleneck_buffer: int = 64,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        tel = _active_telemetry(telemetry)
-        sim = simulator
-        log = FlowLog()
-        rng = RngStream(seed, "connection")
-        pool = PacketPool()
-        self.config = config
-        self.simulator = sim
-        self.log = log
-        self.pool = pool
-        self.telemetry = tel
-
-        # The wiring is cyclic (ACK link → sender → data link →
-        # receiver → ACK link), so the ACK link's deliver closes over
-        # the sender constructed below (late binding); it is also the
-        # terminal owner of a delivered ACK and recycles it.
-        def deliver_ack(ack, time: float) -> None:
-            sender.on_ack(ack, time)
-            pool.release_ack(ack)
-
-        ack_link = Link(
-            sim,
-            delay=config.reverse_delay,
-            loss_model=ack_loss or NoLoss(),
-            jitter=_jitter_fn(rng.spawn("ack-jitter"), config.jitter_sigma),
-            deliver=deliver_ack,
-            on_drop=lambda ack, time: log.record_ack_drop(ack.transmission_id),
-            telemetry=tel,
-            direction="ack",
-            packet_pool=pool,
-            release=pool.release_ack,
-        )
-        receiver = Receiver(
-            sim,
-            ack_link,
-            log,
-            b=config.b,
-            delack_timeout=config.delack_timeout,
-            pool=pool,
-        )
-        if bottleneck_rate is not None:
-            data_link = BottleneckLink(
-                sim,
-                delay=config.forward_delay,
-                rate_pps=bottleneck_rate,
-                buffer_packets=bottleneck_buffer,
-                loss_model=data_loss or NoLoss(),
-                deliver=receiver.on_data,
-                on_drop=lambda segment, time: log.record_data_drop(
-                    segment.transmission_id
-                ),
-                telemetry=tel,
-                direction="data",
-                packet_pool=pool,
-                release=pool.release_segment,
-            )
-        else:
-            data_link = Link(
-                sim,
-                delay=config.forward_delay,
-                loss_model=data_loss or NoLoss(),
-                jitter=_jitter_fn(rng.spawn("data-jitter"), config.jitter_sigma),
-                deliver=receiver.on_data,
-                on_drop=lambda segment, time: log.record_data_drop(
-                    segment.transmission_id
-                ),
-                telemetry=tel,
-                direction="data",
-                packet_pool=pool,
-                release=pool.release_segment,
-            )
-        redundant_link: Optional[Link] = None
-        if redundant_data_loss is not None:
-            redundant_link = Link(
-                sim,
-                delay=config.forward_delay,
-                loss_model=redundant_data_loss,
-                jitter=_jitter_fn(rng.spawn("alt-jitter"), config.jitter_sigma),
-                deliver=receiver.on_data,
-                on_drop=lambda segment, time: log.record_data_drop(
-                    segment.transmission_id
-                ),
-                telemetry=tel,
-                direction="data",
-                packet_pool=pool,
-                release=pool.release_segment,
-            )
-
-        # Registered third-party senders may not accept a telemetry
-        # kwarg, so it is only forwarded when a sink is actually active.
-        sender_kwargs = {} if tel is None else {"telemetry": tel}
-        sender = make_sender(
-            variant,
-            sim,
-            data_link,
-            log,
-            cc_params=cc_params,
-            wmax=config.wmax,
-            initial_cwnd=config.initial_cwnd,
-            rto=RtoEstimator(initial_rto=config.initial_rto, min_rto=config.min_rto),
-            redundant_retransmit_link=redundant_link,
-            **sender_kwargs,
-        )
-        self.sender = sender
-        self.receiver = receiver
-        self.data_link = data_link
-        self.ack_link = ack_link
-        self.redundant_link = redundant_link
-        sender.start()
-
-    def result(self) -> FlowResult:
-        """The flow's result as of the simulator's current progress."""
-        return FlowResult(
-            config=self.config,
-            log=self.log,
-            duration=self.config.duration,
-            telemetry=self.telemetry,
-        )
-
-
 def run_flow(
     config: ConnectionConfig,
     data_loss: Optional[LossModel] = None,
@@ -355,19 +193,104 @@ def run_flow(
     """
     tel = _active_telemetry(telemetry)
     sim = simulator or Simulator(telemetry=tel)
-    harness = FlowHarness(
-        config,
-        simulator=sim,
-        data_loss=data_loss,
-        ack_loss=ack_loss,
-        seed=seed,
-        redundant_data_loss=redundant_data_loss,
-        variant=variant,
-        cc_params=cc_params,
-        bottleneck_rate=bottleneck_rate,
-        bottleneck_buffer=bottleneck_buffer,
+    log = FlowLog()
+    rng = RngStream(seed, "connection")
+    # One packet pool per flow, shared by its sender, receiver and
+    # links: steady-state rounds allocate no packet objects.
+    pool = PacketPool()
+
+    # The wiring is cyclic (ACK link → sender → data link →
+    # receiver → ACK link), so the ACK link's deliver closes over
+    # the sender constructed below (late binding); it is also the
+    # terminal owner of a delivered ACK and recycles it.
+    def deliver_ack(ack, time: float) -> None:
+        sender.on_ack(ack, time)
+        pool.release_ack(ack)
+
+    ack_link = Link(
+        sim,
+        delay=config.reverse_delay,
+        loss_model=ack_loss or NoLoss(),
+        jitter=_jitter_fn(rng.spawn("ack-jitter"), config.jitter_sigma),
+        deliver=deliver_ack,
+        on_drop=lambda ack, time: log.record_ack_drop(ack.transmission_id),
         telemetry=tel,
+        direction="ack",
+        packet_pool=pool,
+        release=pool.release_ack,
     )
+    receiver = Receiver(
+        sim,
+        ack_link,
+        log,
+        b=config.b,
+        delack_timeout=config.delack_timeout,
+        pool=pool,
+    )
+    if bottleneck_rate is not None:
+        data_link = BottleneckLink(
+            sim,
+            delay=config.forward_delay,
+            rate_pps=bottleneck_rate,
+            buffer_packets=bottleneck_buffer,
+            loss_model=data_loss or NoLoss(),
+            deliver=receiver.on_data,
+            on_drop=lambda segment, time: log.record_data_drop(
+                segment.transmission_id
+            ),
+            telemetry=tel,
+            direction="data",
+            packet_pool=pool,
+            release=pool.release_segment,
+        )
+    else:
+        data_link = Link(
+            sim,
+            delay=config.forward_delay,
+            loss_model=data_loss or NoLoss(),
+            jitter=_jitter_fn(rng.spawn("data-jitter"), config.jitter_sigma),
+            deliver=receiver.on_data,
+            on_drop=lambda segment, time: log.record_data_drop(
+                segment.transmission_id
+            ),
+            telemetry=tel,
+            direction="data",
+            packet_pool=pool,
+            release=pool.release_segment,
+        )
+    redundant_link: Optional[Link] = None
+    if redundant_data_loss is not None:
+        redundant_link = Link(
+            sim,
+            delay=config.forward_delay,
+            loss_model=redundant_data_loss,
+            jitter=_jitter_fn(rng.spawn("alt-jitter"), config.jitter_sigma),
+            deliver=receiver.on_data,
+            on_drop=lambda segment, time: log.record_data_drop(
+                segment.transmission_id
+            ),
+            telemetry=tel,
+            direction="data",
+            packet_pool=pool,
+            release=pool.release_segment,
+        )
+
+    # Registered third-party senders may not accept a telemetry
+    # kwarg, so it is only forwarded when a sink is actually active.
+    sender_kwargs = {} if tel is None else {"telemetry": tel}
+    sender = make_sender(
+        variant,
+        sim,
+        data_link,
+        log,
+        cc_params=cc_params,
+        wmax=config.wmax,
+        initial_cwnd=config.initial_cwnd,
+        rto=RtoEstimator(initial_rto=config.initial_rto, min_rto=config.min_rto),
+        redundant_retransmit_link=redundant_link,
+        **sender_kwargs,
+    )
+    sender.start()
 
     if watchdog is None:
         # Imported lazily: robustness sits above the simulator in the
@@ -384,4 +307,6 @@ def run_flow(
         if tel is not None:
             tel.on_budget_exceeded(error.kind)
         raise
-    return harness.result()
+    return FlowResult(
+        config=config, log=log, duration=config.duration, telemetry=tel
+    )

@@ -1,5 +1,7 @@
 """Unit tests for the executor: backends, retries, quarantine, reports."""
 
+import pickle
+
 import pytest
 
 import repro.exec.executor as executor_module
@@ -10,6 +12,7 @@ from repro.exec import (
     SerialBackend,
     simulate_spec,
 )
+from repro.exec.executor import _execute_payload
 from repro.robustness.campaign import CampaignReport, RetryPolicy
 from repro.robustness.watchdog import Watchdog, watchdog_scope
 from repro.simulator.connection import ConnectionConfig
@@ -20,6 +23,18 @@ def spec(seed=0, flow_id="flow", **overrides) -> FlowSpec:
     base = dict(duration=2.0, wmax=16.0)
     base.update(overrides)
     return FlowSpec(config=ConnectionConfig(**base), seed=seed, flow_id=flow_id)
+
+
+def payloads(count, **overrides):
+    """Executor payloads, as ``Executor.run`` hands them to a backend."""
+    return [
+        (index, spec(seed=index, flow_id=f"p/{index}", **overrides), RetryPolicy())
+        for index in range(count)
+    ]
+
+
+def log_pickles(outcomes):
+    return [pickle.dumps(outcome.result.log) for outcome in outcomes]
 
 
 class TestSimulateSpec:
@@ -51,8 +66,22 @@ class TestBackendSelection:
 
     def test_pool_with_one_worker_runs_inline(self):
         # No pool is spun up, so results come back regardless of pickling.
-        outcome = ProcessPoolBackend(1).map(lambda x: x * 2, [1, 2, 3])
-        assert outcome == [2, 4, 6]
+        batch = payloads(3)
+        outcomes = ProcessPoolBackend(1).map(
+            lambda payload: _execute_payload(payload), batch
+        )
+        serial = SerialBackend().map(_execute_payload, batch)
+        assert log_pickles(outcomes) == log_pickles(serial)
+
+    def test_lockstep_rejected_naming_the_valid_modes(self, capsys):
+        from repro.experiments.runner import _build_parser
+
+        valid = "integer, 'auto', or 'fabric'"
+        with pytest.raises(ConfigurationError, match=valid):
+            Executor.for_workers("lockstep")
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["run", "table1", "--workers", "lockstep"])
+        assert valid in capsys.readouterr().err
 
 
 class TestExecutorRun:
@@ -147,11 +176,6 @@ class TestAmbientWatchdog:
         assert execution.outcomes[0].spec.watchdog == mine
 
 
-def _double(x):
-    # Module-level so the pool path can pickle it.
-    return x * 2
-
-
 class TestAutoBackend:
     def test_for_workers_auto_selects_auto_backend(self):
         from repro.exec import AutoBackend
@@ -171,8 +195,12 @@ class TestAutoBackend:
     def test_small_batch_stays_serial_and_records_decision(self):
         from repro.exec import AutoBackend
 
+        batch = payloads(3)
         backend = AutoBackend()
-        assert backend.map(_double, [1, 2, 3]) == [2, 4, 6]
+        outcomes = backend.map(_execute_payload, batch)
+        assert log_pickles(outcomes) == log_pickles(
+            SerialBackend().map(_execute_payload, batch)
+        )
         decision = backend.last_decision
         assert decision["mode"] == "serial"
         assert decision["items"] == 3
@@ -185,8 +213,12 @@ class TestAutoBackend:
         # cost must still project serial, because the pool's spawn
         # overhead can never be amortised.
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        batch = payloads(50, duration=0.05)
         backend = AutoBackend()
-        assert backend.map(_double, list(range(50))) == [x * 2 for x in range(50)]
+        outcomes = backend.map(_execute_payload, batch)
+        assert log_pickles(outcomes) == log_pickles(
+            SerialBackend().map(_execute_payload, batch)
+        )
         decision = backend.last_decision
         assert decision["mode"] == "serial"
         assert decision["projected_pool_s"] > decision["projected_serial_s"]
@@ -203,14 +235,10 @@ class TestAutoBackend:
         pooled = Executor(backend=backend).run(specs)
         assert backend.last_decision["mode"] == "pool"
         assert serial.report.to_json() == pooled.report.to_json()
-        for left, right in zip(serial.outcomes, pooled.outcomes):
-            import pickle
-
-            assert pickle.dumps(left.result.log) == pickle.dumps(right.result.log)
+        assert log_pickles(serial.outcomes) == log_pickles(pooled.outcomes)
 
     def test_auto_campaign_identical_to_serial(self):
         from repro.traces.generator import generate_dataset
-        import pickle
 
         serial = generate_dataset(seed=2015, duration=5.0, flow_scale=0.02)
         auto = generate_dataset(

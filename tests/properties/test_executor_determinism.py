@@ -32,18 +32,13 @@ class TestCampaignBackendEquivalence:
         assert _trace_pickles(serial) == _trace_pickles(pooled)
         assert serial.report.to_json() == pooled.report.to_json()
 
-    def test_dataset_identical_serial_vs_lockstep_vs_auto(self):
+    def test_dataset_identical_serial_vs_auto(self):
         serial = generate_dataset(seed=2015, duration=5.0, flow_scale=0.02)
-        lockstep = generate_dataset(
-            seed=2015, duration=5.0, flow_scale=0.02, workers="lockstep"
-        )
         auto = generate_dataset(
             seed=2015, duration=5.0, flow_scale=0.02, workers="auto"
         )
-        assert serial.flow_count == lockstep.flow_count == auto.flow_count > 0
-        assert _trace_pickles(serial) == _trace_pickles(lockstep)
+        assert serial.flow_count == auto.flow_count > 0
         assert _trace_pickles(serial) == _trace_pickles(auto)
-        assert serial.report.to_json() == lockstep.report.to_json()
         assert serial.report.to_json() == auto.report.to_json()
 
     def test_mixed_spec_batch_identical(self):

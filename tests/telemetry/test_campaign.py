@@ -7,8 +7,6 @@ is byte-identical between serial and process-pool runs.
 
 import io
 
-import pytest
-
 from repro.exec import Executor, FlowSpec
 from repro.exec.executor import ProcessPoolBackend, SerialBackend
 from repro.simulator.channel import BernoulliLoss
@@ -154,30 +152,3 @@ class TestCampaignTelemetryValue:
         text = campaign.summary()
         assert "2 flows" in text
         assert "3 RTOs" in text
-
-
-class TestExecutorDeprecation:
-    def test_positional_backend_warns_once_and_works(self):
-        import warnings
-
-        import repro.exec.executor as executor_module
-
-        executor_module._POSITIONAL_WARNED = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                first = Executor(SerialBackend())
-                Executor(SerialBackend())
-            deprecations = [
-                warning
-                for warning in caught
-                if issubclass(warning.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-            assert isinstance(first.backend, SerialBackend)
-        finally:
-            executor_module._POSITIONAL_WARNED = False
-
-    def test_double_backend_raises(self):
-        with pytest.raises(TypeError):
-            Executor(SerialBackend(), backend=SerialBackend())

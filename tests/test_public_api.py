@@ -91,7 +91,6 @@ API_SNAPSHOT = {
         "Executor",
         "FlowOutcome",
         "FlowSpec",
-        "LockstepBackend",
         "ProcessPoolBackend",
         "ResolvedFlow",
         "SerialBackend",
@@ -133,7 +132,6 @@ API_SNAPSHOT = {
         "CwndSample",
         "DataPacketRecord",
         "EventHandle",
-        "FlowHarness",
         "FlowLog",
         "FlowResult",
         "GilbertElliottLoss",
@@ -162,7 +160,6 @@ API_SNAPSHOT = {
         "run_backup",
         "run_duplex",
         "run_flow",
-        "run_lockstep",
         "unregister_cc",
     ],
     "repro.robustness": [
