@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -137,6 +138,37 @@ class FlowOutcome:
     @property
     def ok(self) -> bool:
         return self.quarantine is None
+
+    # A trace captured from this outcome's result shares the log's
+    # record lists.  Pickling drops it and unpickling re-captures it
+    # from the restored log and the trace's own metadata (a retried
+    # flow's trace carries its attempt seed), so the records cross a
+    # process boundary once, as the log's columns.
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        trace = self.trace
+        if trace is not None and self.result is not None:
+            log = self.result.log
+            captured = all(
+                getattr(trace, name) is getattr(log, name)
+                for name in ("data_packets", "acks", "timeouts", "recovery_phases")
+            ) and (trace.delivered_payloads, trace.duplicate_payloads) == (
+                log.delivered_payloads,
+                log.duplicate_payloads,
+            )
+            if captured:
+                state["trace"] = None
+                state["trace_metadata"] = trace.metadata
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        metadata = state.pop("trace_metadata", None)
+        self.__dict__.update(state)
+        if metadata is not None:
+            from repro.traces.capture import capture_flow
+
+            self.trace = capture_flow(self.result, metadata, validate=False)
 
 
 def _execute_payload(

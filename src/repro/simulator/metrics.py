@@ -5,11 +5,39 @@ directions, every timeout, every timeout-recovery phase and the
 congestion-window trajectory — the complete transport-layer observable
 set the paper extracts from its wireshark captures.  The trace layer
 (:mod:`repro.traces`) consumes these records verbatim.
+
+Column layout
+-------------
+
+:meth:`FlowLog.to_columns` packs a log into typed columns, one per
+record field, and :meth:`FlowLog.from_columns` rebuilds it.  This is
+the log's one encoding: a FlowLog pickles as its columns, and the
+result store keeps the same columns base64-encoded.
+
+* Keys are ``"<list>.<field>"`` (``"data_packets.seq"``, …), each the
+  raw bytes of an :class:`array.array`, little-endian on every host:
+  ``'q'`` for int fields, ``'d'`` for float fields, ``'B'`` for bool
+  fields.  In the ``Optional[float]`` fields (``arrival_time``,
+  ``end_time``) NaN stands for None, so a real NaN there is refused.
+* ``"cwnd_samples.phase"`` is a ``'B'`` index into ``"phases"``, the
+  list of distinct phase strings in order of first use.
+* ``"delivered_payloads"`` and ``"duplicate_payloads"`` are plain ints.
+
+The rebuild goes through the log's own recorders, so the transmission
+indexes key on the records' own ints and every sample of one phase
+shares one string, as in a live run: a rebuilt log pickles to the same
+bytes as the log it came from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import gc
+import math
+import sys
+from array import array
+from dataclasses import dataclass, field, fields
+from itertools import starmap
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -196,3 +224,110 @@ class FlowLog:
 
     def completed_recovery_phases(self) -> List[RecoveryPhaseRecord]:
         return [phase for phase in self.recovery_phases if phase.complete]
+
+    # -- columns ------------------------------------------------------
+
+    def to_columns(self) -> Dict[str, object]:
+        """The log as typed columns (see the module docstring).
+
+        Raises :class:`ValueError` on a NaN in a column where NaN
+        stands for None.
+        """
+        phases: Dict[str, int] = {}
+        columns: Dict[str, object] = {
+            "delivered_payloads": self.delivered_payloads,
+            "duplicate_payloads": self.duplicate_payloads,
+        }
+        for attr, layout in _LAYOUT:
+            records = getattr(self, attr)
+            for key, name, kind in layout:
+                values = list(map(attrgetter(name), records))
+                columns[key] = _pack(key, kind, values, phases)
+        columns["phases"] = list(phases)
+        return columns
+
+    @classmethod
+    def from_columns(cls, columns: Dict[str, object]) -> "FlowLog":
+        """The log :meth:`to_columns` packed, rebuilt record by record."""
+        phases = columns["phases"]
+        rows = {
+            attr: zip(*[_unpack(columns[key], kind, phases) for key, _, kind in layout])
+            for attr, layout in _LAYOUT
+        }
+        log = cls(
+            delivered_payloads=columns["delivered_payloads"],
+            duplicate_payloads=columns["duplicate_payloads"],
+        )
+        # Records hold only numbers and shared strings, so they form no
+        # cycles: collecting while thousands of them are built would
+        # only rescan the heap.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            append = log.record_data_send
+            for row in rows["data_packets"]:
+                append(DataPacketRecord(*row))
+            append = log.record_ack_send
+            for row in rows["acks"]:
+                append(AckRecord(*row))
+            log.timeouts = list(starmap(TimeoutRecord, rows["timeouts"]))
+            log.recovery_phases = list(starmap(RecoveryPhaseRecord, rows["recovery_phases"]))
+            append = log.record_cwnd
+            for row in rows["cwnd_samples"]:
+                append(*row)
+        finally:
+            if collecting:
+                gc.enable()
+        return log
+
+    def __reduce__(self):
+        return (FlowLog.from_columns, (self.to_columns(),))
+
+
+#: array typecode per record field annotation; a ``str`` field is an
+#: index into the log's phase table
+_TYPECODES = {"int": "q", "float": "d", "Optional[float]": "d", "bool": "B", "str": "B"}
+
+#: the record lists of a FlowLog, in column order: (list attribute,
+#: ((column key, field name, annotation), ...)) in field order
+_LAYOUT = tuple(
+    (attr, tuple((f"{attr}.{f.name}", f.name, f.type) for f in fields(record)))
+    for attr, record in (
+        ("data_packets", DataPacketRecord),
+        ("acks", AckRecord),
+        ("timeouts", TimeoutRecord),
+        ("recovery_phases", RecoveryPhaseRecord),
+        ("cwnd_samples", CwndSample),
+    )
+)
+
+#: columns are little-endian on every host
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack(key: str, kind: str, values: list, phases: Dict[str, int]) -> bytes:
+    if kind == "Optional[float]":
+        if any(v != v for v in values if v is not None):
+            raise ValueError(f"column {key!r} holds a NaN, which it reserves for None")
+        values = [math.nan if v is None else v for v in values]
+    elif kind == "str":
+        values = [phases.setdefault(v, len(phases)) for v in values]
+    column = array(_TYPECODES[kind], values)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column.tobytes()
+
+
+def _unpack(raw: bytes, kind: str, phases: List[str]) -> list:
+    column = array(_TYPECODES[kind])
+    column.frombytes(raw)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    values = column.tolist()
+    if kind == "Optional[float]":
+        return [None if v != v else v for v in values]
+    if kind == "bool":
+        return list(map(bool, values))
+    if kind == "str":
+        return [phases[i] for i in values]
+    return values

@@ -9,11 +9,13 @@ per flow::
       quarantine/              # corrupt entries, moved aside verbatim
 
 Each entry decompresses to two lines: a small JSON header
-``{schema, key, flow_id, digest}`` and the payload's canonical JSON,
-where ``digest`` is the sha256 of the payload line's bytes.  Keeping
-the digested bytes verbatim in the file means reads hash what they
-just read — the multi-megabyte payload is never *re*-serialised to
-check integrity, which is what makes a warm cache hit cheap.  Reads
+``{schema, key, flow_id, digest}`` and the payload as compact
+sorted-key JSON (see :func:`encode_entry`; the log's columns travel
+inside it as base64 strings), where ``digest`` is the sha256 of the
+payload line's bytes.  Keeping the digested bytes verbatim in the
+file means reads hash what they just read — the multi-megabyte
+payload is never *re*-serialised to check integrity, which is what
+makes a warm cache hit cheap.  Reads
 verify the digest (and the key ↔ filename binding); anything that
 fails — truncated gzip, mangled JSON, digest mismatch — is
 *quarantined* (moved aside for post-mortem, never silently deleted)
@@ -129,9 +131,9 @@ def encode_entry(key: str, payload: Dict[str, object]) -> bytes:
     """The exact file bytes for one entry.
 
     Plain JSON, not keys.canonical_json: payloads are already
-    JSON-native (format.encode_outcome built them), and floats must
-    land in the file as bare shortest-repr literals so the stored
-    bytes parse straight back into the payload.  Deterministic:
+    JSON-native (format.encode_outcome built them, the log's columns
+    as base64 strings), so the stored bytes parse straight back into
+    the payload.  Deterministic:
     gzip mtime is pinned to 0, so the same payload always encodes to
     the same bytes — which is what lets the remote transport compare
     and re-verify entries byte-for-byte.

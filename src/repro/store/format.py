@@ -3,22 +3,23 @@
 The store persists everything needed to reconstruct a successful
 :class:`~repro.exec.executor.FlowOutcome` *byte-identically*: the built
 :class:`~repro.simulator.connection.ConnectionConfig`, the complete
-:class:`~repro.simulator.metrics.FlowLog` (per-record, as compact
-arrays), the flow duration, the per-flow telemetry counters when the
-flow ran instrumented, plus the retry bookkeeping (failures, attempt
-count) so a cached flow replays into a
-:class:`~repro.robustness.campaign.CampaignReport` exactly as its live
-run did.
+:class:`~repro.simulator.metrics.FlowLog`, the flow duration, the
+per-flow telemetry counters when the flow ran instrumented, plus the
+retry bookkeeping (failures, attempt count) so a cached flow replays
+into a :class:`~repro.robustness.campaign.CampaignReport` exactly as
+its live run did.
 
-Fidelity notes:
+The log is stored as :meth:`FlowLog.to_columns
+<repro.simulator.metrics.FlowLog.to_columns>` gives it, the one
+encoding a log also pickles as: each column's little-endian bytes
+base64-encoded into the JSON payload, the phase table and the payload
+counts as they are.  Column bytes hold every int and IEEE-754 double
+exactly, and :meth:`FlowLog.from_columns` rebuilds records that pickle
+to the same bytes as the live run's.
 
-* floats round-trip exactly — Python's JSON writer emits the shortest
-  repr and the reader parses it back to the identical IEEE-754 value;
-* booleans are stored as JSON booleans (not 0/1), so re-pickled records
-  compare byte-for-byte with fresh ones;
-* the flow *trace* is not stored — it is re-captured from the restored
-  log and the requesting spec's own metadata, which is also what makes
-  one stored simulation reusable under any capture metadata.
+The flow *trace* is not stored — it is re-captured from the restored
+log and the requesting spec's own metadata, which is also what makes
+one stored simulation reusable under any capture metadata.
 
 Only successful outcomes are stored.  A quarantined flow is worth
 retrying on the next campaign run, not worth caching.
@@ -26,6 +27,7 @@ retrying on the next campaign run, not worth caching.
 
 from __future__ import annotations
 
+from base64 import b64decode, b64encode
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
@@ -33,14 +35,7 @@ from repro.exec.executor import FlowOutcome
 from repro.exec.spec import FlowSpec
 from repro.robustness.campaign import FlowFailure
 from repro.simulator.connection import ConnectionConfig, FlowResult
-from repro.simulator.metrics import (
-    AckRecord,
-    CwndSample,
-    DataPacketRecord,
-    FlowLog,
-    RecoveryPhaseRecord,
-    TimeoutRecord,
-)
+from repro.simulator.metrics import FlowLog
 from repro.telemetry.counters import COUNTER_NAMES, CountingTelemetry
 
 __all__ = ["SCHEMA_VERSION", "decode_outcome", "encode_outcome"]
@@ -48,7 +43,8 @@ __all__ = ["SCHEMA_VERSION", "decode_outcome", "encode_outcome"]
 #: On-disk payload schema.  Bump on any change to the encoding below;
 #: ``ResultStore.gc`` drops entries written under older schemas.
 #: 2: FlowFailure records gained ``failure_class`` (the retry taxonomy).
-SCHEMA_VERSION = 2
+#: 3: the log is stored as FlowLog columns, not as JSON rows.
+SCHEMA_VERSION = 3
 
 #: counters that describe how a result was *obtained*, not what the
 #: simulation did — never persisted, always reassigned on restore.
@@ -62,118 +58,6 @@ _CACHE_COUNTERS = (
     "deadline_preemptions",
     "store_errors",
 )
-
-
-def _encode_log(log: FlowLog) -> Dict[str, object]:
-    return {
-        "data_packets": [
-            [
-                r.transmission_id,
-                r.seq,
-                r.send_time,
-                r.arrival_time,
-                r.dropped,
-                r.is_retransmission,
-                r.in_timeout_recovery,
-                r.subflow_id,
-            ]
-            for r in log.data_packets
-        ],
-        "acks": [
-            [
-                r.transmission_id,
-                r.ack_seq,
-                r.send_time,
-                r.arrival_time,
-                r.dropped,
-                r.is_duplicate,
-                r.subflow_id,
-            ]
-            for r in log.acks
-        ],
-        "timeouts": [
-            [r.time, r.seq, r.backoff_exponent, r.rto_value, r.sequence_index]
-            for r in log.timeouts
-        ],
-        "recovery_phases": [
-            [
-                r.start_time,
-                r.end_time,
-                r.timeouts,
-                r.retransmissions,
-                r.retransmissions_lost,
-            ]
-            for r in log.recovery_phases
-        ],
-        "cwnd_samples": [[s.time, s.cwnd, s.phase] for s in log.cwnd_samples],
-        "delivered_payloads": log.delivered_payloads,
-        "duplicate_payloads": log.duplicate_payloads,
-    }
-
-
-def _decode_log(data: Dict[str, object]) -> FlowLog:
-    log = FlowLog(
-        delivered_payloads=int(data["delivered_payloads"]),
-        duplicate_payloads=int(data["duplicate_payloads"]),
-    )
-    for row in data["data_packets"]:
-        log.record_data_send(
-            DataPacketRecord(
-                transmission_id=row[0],
-                seq=row[1],
-                send_time=row[2],
-                arrival_time=row[3],
-                dropped=row[4],
-                is_retransmission=row[5],
-                in_timeout_recovery=row[6],
-                subflow_id=row[7],
-            )
-        )
-    for row in data["acks"]:
-        log.record_ack_send(
-            AckRecord(
-                transmission_id=row[0],
-                ack_seq=row[1],
-                send_time=row[2],
-                arrival_time=row[3],
-                dropped=row[4],
-                is_duplicate=row[5],
-                subflow_id=row[6],
-            )
-        )
-    log.timeouts = [
-        TimeoutRecord(
-            time=row[0],
-            seq=row[1],
-            backoff_exponent=row[2],
-            rto_value=row[3],
-            sequence_index=row[4],
-        )
-        for row in data["timeouts"]
-    ]
-    log.recovery_phases = [
-        RecoveryPhaseRecord(
-            start_time=row[0],
-            end_time=row[1],
-            timeouts=row[2],
-            retransmissions=row[3],
-            retransmissions_lost=row[4],
-        )
-        for row in data["recovery_phases"]
-    ]
-    # Dedupe phase strings: a live run shares one str object per phase
-    # (the sender passes module constants), while json.loads builds a
-    # fresh str per sample.  Restoring the sharing keeps whole-log
-    # pickles byte-identical to fresh ones (pickle memoises by object
-    # identity, not value).
-    phases: Dict[str, str] = {}
-    log.cwnd_samples = [
-        CwndSample(
-            time=row[0], cwnd=row[1], phase=phases.setdefault(row[2], row[2])
-        )
-        for row in data["cwnd_samples"]
-    ]
-    return log
 
 
 def encode_outcome(outcome: FlowOutcome) -> Dict[str, object]:
@@ -203,7 +87,10 @@ def encode_outcome(outcome: FlowOutcome) -> Dict[str, object]:
             "config": asdict(result.config),
             "duration": result.duration,
             "counters": counters,
-            "log": _encode_log(result.log),
+            "log": {
+                key: b64encode(value).decode("ascii") if isinstance(value, bytes) else value
+                for key, value in result.log.to_columns().items()
+            },
         },
     }
 
@@ -220,6 +107,10 @@ def decode_outcome(
     truth about how this result was obtained this run.
     """
     result_data = payload["result"]
+    columns = {
+        key: b64decode(value) if isinstance(value, str) else value
+        for key, value in result_data["log"].items()
+    }
     telemetry: Optional[CountingTelemetry] = None
     if spec.telemetry:
         telemetry = CountingTelemetry()
@@ -231,7 +122,7 @@ def decode_outcome(
         telemetry.cache_miss = 0
     result = FlowResult(
         config=ConnectionConfig(**result_data["config"]),
-        log=_decode_log(result_data["log"]),
+        log=FlowLog.from_columns(columns),
         duration=result_data["duration"],
         telemetry=telemetry,
     )

@@ -249,3 +249,85 @@ class TestAutoBackend:
             pickle.dumps(t) for t in auto.traces
         ]
         assert serial.report.to_json() == auto.report.to_json()
+
+
+class TestOutcomeTransfer:
+    """A pickled outcome ships its records once, as the log's columns."""
+
+    def _traced(self, seed=3, flow_id="transfer"):
+        from repro.traces.events import FlowMetadata
+
+        metadata = FlowMetadata(
+            flow_id=flow_id, provider="CM", technology="LTE", scenario="hsr",
+            capture_month="2015-01", phone_model="Note 3", duration=2.0, seed=seed,
+        )
+        return FlowSpec(
+            config=ConnectionConfig(duration=2.0, wmax=16.0),
+            seed=seed,
+            flow_id=flow_id,
+            metadata=metadata,
+        )
+
+    def test_trace_recaptured_from_the_restored_log(self):
+        outcome = Executor().run([self._traced()]).outcomes[0]
+        restored = pickle.loads(pickle.dumps(outcome))
+        log = restored.result.log
+        assert restored.trace.data_packets is log.data_packets
+        assert restored.trace.acks is log.acks
+        assert restored.trace.timeouts is log.timeouts
+        assert restored.trace.recovery_phases is log.recovery_phases
+        assert restored.trace.metadata == outcome.trace.metadata
+        assert pickle.dumps(restored.trace) == pickle.dumps(outcome.trace)
+        assert pickle.dumps(restored) == pickle.dumps(outcome)
+
+    def test_retried_trace_keeps_its_attempt_seed(self, monkeypatch):
+        real = executor_module.simulate_spec
+        base = 17
+
+        def breaking(sim_spec):
+            if sim_spec.seed == base:
+                raise SimulationError("injected")
+            return real(sim_spec)
+
+        monkeypatch.setattr(executor_module, "simulate_spec", breaking)
+        outcome = Executor().run([self._traced(seed=base)]).outcomes[0]
+        assert outcome.attempts == 2
+        assert outcome.trace.metadata.seed != outcome.spec.metadata.seed
+        restored = pickle.loads(pickle.dumps(outcome))
+        assert restored.trace.metadata == outcome.trace.metadata
+        assert pickle.dumps(restored.trace) == pickle.dumps(outcome.trace)
+
+    def test_traceless_and_quarantined_round_trip_unchanged(self, monkeypatch):
+        traceless = Executor().run([spec(seed=4)]).outcomes[0]
+        assert traceless.trace is None
+        restored = pickle.loads(pickle.dumps(traceless))
+        assert restored.trace is None
+        assert vars(restored).keys() == vars(traceless).keys()
+        assert pickle.dumps(restored) == pickle.dumps(traceless)
+
+        def broken(sim_spec):
+            raise SimulationError("injected")
+
+        monkeypatch.setattr(executor_module, "simulate_spec", broken)
+        quarantined = Executor().run([self._traced()]).outcomes[0]
+        assert not quarantined.ok and quarantined.result is None
+        restored = pickle.loads(pickle.dumps(quarantined))
+        assert restored == quarantined
+        assert vars(restored).keys() == vars(quarantined).keys()
+
+    def test_unshared_trace_is_pickled_whole(self):
+        from dataclasses import replace
+
+        outcome = Executor().run([self._traced()]).outcomes[0]
+        trace = replace(outcome.trace, data_packets=list(outcome.trace.data_packets))
+        restored = pickle.loads(pickle.dumps(replace(outcome, trace=trace)))
+        assert restored.trace.data_packets is not restored.result.log.data_packets
+        assert pickle.dumps(restored.trace) == pickle.dumps(trace)
+
+    def test_trace_adds_little_to_the_pickle(self):
+        from dataclasses import replace
+
+        outcome = Executor().run([self._traced()]).outcomes[0]
+        with_trace = len(pickle.dumps(outcome))
+        without = len(pickle.dumps(replace(outcome, trace=None)))
+        assert with_trace <= 1.1 * without

@@ -47,12 +47,14 @@ def _trace_pickles(execution):
 
 class TestKillAndRejoin:
     def test_sigkilled_worker_mid_shard_changes_no_bytes(self):
-        """Two workers, one told to SIGKILL itself after its second
+        """Two workers, each told to SIGKILL itself after its second
         flow execution — with two-flow shards that lands mid-shard,
-        with the lease unreturned.  The lease expires, the respawned
+        with the lease unreturned.  The lease expires, a respawned
         worker (the 'fresh worker attaching') re-runs the shard, and
         the epoch rule keeps the dead worker's half-done work from
-        ever counting."""
+        ever counting.  Both first workers carry the hook because a
+        lone chaos worker can attach after the other has already
+        claimed and finished both shards, and then never dies."""
         specs = _specs()
         serial = Executor.for_workers(1).run(specs)
         config = FabricConfig(
@@ -61,7 +63,7 @@ class TestKillAndRejoin:
             poll_s=0.02,
             lease_timeout_s=3.0,
             max_worker_restarts=4,
-            extra_worker_args=(("--sigkill-after", "2"),),
+            extra_worker_args=(("--sigkill-after", "2"),) * 2,
         )
         fabric = Executor.for_workers("fabric")
         with fabric_scope(config):
@@ -73,7 +75,8 @@ class TestKillAndRejoin:
 
     def test_kill_rejoin_with_remote_store_then_warm_rerun(self, tmp_path):
         """The full acceptance path: HTTP store, a worker SIGKILLed
-        mid-campaign, byte-identity with serial — then a warm rerun
+        mid-campaign (both first workers carry the hook, as above),
+        byte-identity with serial — then a warm rerun
         that serves every flow from the remote store and simulates
         nothing (the cache partition never even engages the fabric)."""
         specs = _specs()
@@ -86,7 +89,7 @@ class TestKillAndRejoin:
                 lease_timeout_s=3.0,
                 max_worker_restarts=4,
                 store=server.url,
-                extra_worker_args=(("--sigkill-after", "2"),),
+                extra_worker_args=(("--sigkill-after", "2"),) * 2,
             )
             fabric = Executor.for_workers("fabric")
             with fabric_scope(config), store_scope(server.url):

@@ -12,11 +12,25 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import astuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.exec.executor as executor_module
-from repro.exec import Executor, FlowSpec
+from repro.exec import Executor, FlowOutcome, FlowSpec
 from repro.hsr import CHINA_MOBILE, CHINA_TELECOM, hsr_scenario
+from repro.simulator.connection import ConnectionConfig, FlowResult
+from repro.simulator.metrics import (
+    AckRecord,
+    DataPacketRecord,
+    FlowLog,
+    RecoveryPhaseRecord,
+    TimeoutRecord,
+)
 from repro.store import ResultStore, flow_key, store_scope
+from repro.store.disk import decode_entry, encode_entry
+from repro.store.format import decode_outcome, encode_outcome
 from repro.traces.events import FlowMetadata
 
 
@@ -115,6 +129,55 @@ class TestCachedEqualsFresh:
             Executor.for_workers(1).run(specs)
             warm = Executor.for_workers(1).run(specs)
         assert warm.report.cache_hits == len(specs)
+
+
+INTS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+FLOATS = st.floats(allow_nan=False)
+TIMES = st.none() | FLOATS
+PHASES = ("slow_start", "congestion_avoidance", "fast_recovery", "timeout_recovery")
+
+
+@st.composite
+def flow_logs(draw):
+    """Random FlowLogs over every field's full column range."""
+    log = FlowLog(delivered_payloads=draw(INTS), duplicate_payloads=draw(INTS))
+    fields = st.tuples(INTS, FLOATS, TIMES, st.booleans(), st.booleans(), st.booleans(), INTS)
+    for tid, row in enumerate(draw(st.lists(fields, max_size=20))):
+        log.record_data_send(DataPacketRecord(tid, *row))
+    fields = st.tuples(INTS, FLOATS, TIMES, st.booleans(), st.booleans(), INTS)
+    for tid, row in enumerate(draw(st.lists(fields, max_size=20))):
+        log.record_ack_send(AckRecord(tid, *row))
+    log.timeouts = [
+        TimeoutRecord(*row)
+        for row in draw(st.lists(st.tuples(FLOATS, INTS, INTS, FLOATS, INTS), max_size=5))
+    ]
+    log.recovery_phases = [
+        RecoveryPhaseRecord(*row)
+        for row in draw(st.lists(st.tuples(FLOATS, TIMES, INTS, INTS, INTS), max_size=5))
+    ]
+    for row in draw(st.lists(st.tuples(FLOATS, FLOATS, st.sampled_from(PHASES)), max_size=20)):
+        log.record_cwnd(*row)
+    return log
+
+
+class TestLogRoundTrip:
+    @given(flow_logs())
+    @settings(max_examples=100, deadline=None)
+    def test_random_log_survives_an_entry_round_trip(self, log):
+        config = ConnectionConfig(duration=1.0)
+        spec = FlowSpec(config=config, seed=0, flow_id="random")
+        outcome = FlowOutcome(
+            index=0, spec=spec, result=FlowResult(config, log, 1.0), trace=None
+        )
+        key = "ef" * 32
+        payload = decode_entry(encode_entry(key, encode_outcome(outcome)), key)
+        restored = decode_outcome(payload, index=0, spec=spec).result.log
+        for name in ("data_packets", "acks", "timeouts", "recovery_phases", "cwnd_samples"):
+            live, back = getattr(log, name), getattr(restored, name)
+            assert [astuple(r) for r in back] == [astuple(r) for r in live]
+            assert pickle.dumps(back) == pickle.dumps(live)
+        assert restored == log
+        assert pickle.dumps(restored) == pickle.dumps(log)
 
 
 class TestKeyStability:
