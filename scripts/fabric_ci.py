@@ -3,8 +3,8 @@
 
 Stands up the whole distributed stack on localhost — an HTTP store
 server, a campaign coordinator, two spawned worker processes — and
-runs the paper's Table-I campaign through it with one worker ordered
-to SIGKILL itself mid-shard.  The gates:
+runs the paper's Table-I campaign through it with both first workers
+ordered to SIGKILL themselves mid-shard.  The gates:
 
 1. the chaotic fabric run is byte-identical to a serial run (report
    JSON and every trace pickle), with at least one worker respawn
@@ -81,8 +81,10 @@ def run_drill(flow_scale: float, duration: float) -> dict:
                 lease_timeout_s=10.0,
                 max_worker_restarts=6,
                 announce=True,
-                # worker 0 is the crash dummy: a real SIGKILL, mid-shard
-                extra_worker_args=(("--sigkill-after", "2"),),
+                # both first workers are crash dummies (a real SIGKILL,
+                # mid-shard): with one, the other can finish every shard
+                # before it dies and no crash is ever observed
+                extra_worker_args=(("--sigkill-after", "2"),) * 2,
             )
             chaotic, chaotic_s, stats = _fabric_campaign(
                 flow_scale, duration, config, server.url

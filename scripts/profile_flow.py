@@ -4,7 +4,7 @@
 Runs a single flow (by default the 300 km/h HSR shape that
 ``bench_engine.py`` measures) under cProfile and prints the top
 functions by cumulative time — the view that surfaced the original
-hot-path sins (per-packet closure allocation in ``Link.send``, scalar
+hot-path sins (per-packet closure allocation in the link send path, scalar
 RNG draws per transmission, heap churn on ``EventHandle`` objects).
 
 ``--scenario`` profiles any scenario from the bundled library (or a

@@ -18,8 +18,8 @@ bandwidth-delay product.  The probing state machine:
   delay can be re-measured.
 
 Sends are *paced*: instead of dumping a window-sized burst per ACK,
-the sender emits fixed quanta through the link's batched
-:meth:`~repro.simulator.channel.Link.send_burst` path, spaced by the
+the sender emits fixed quanta, each one
+:meth:`~repro.simulator.channel.Link.send_burst` call, spaced by the
 engine's event wheel at the modelled rate.  Loss handling (fast
 recovery bookkeeping, RTO plumbing) is inherited; a loss event does
 not collapse the model — BBR's bet, tested here against the paper's
@@ -247,10 +247,10 @@ class BbrSender(BaseSender):
         """Window-gated like the base sender, but rate-paced.
 
         Until the model has a bandwidth estimate, sends fall back to
-        the base burst path (STARTUP's first rounds are ACK-clocked
-        anyway).  With an estimate, each firing emits one quantum
-        through the link's batched path and the next quantum is an
-        engine event ``quantum/rate`` later.
+        the base window send (STARTUP's first rounds are ACK-clocked
+        anyway).  With an estimate, each firing emits one quantum as
+        one burst and the next quantum is an engine event
+        ``quantum/rate`` later.
         """
         if self._phase == _TIMEOUT_RECOVERY:
             return

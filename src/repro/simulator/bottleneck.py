@@ -27,10 +27,10 @@ __all__ = ["BottleneckLink"]
 class BottleneckLink:
     """FIFO queue + serialisation + propagation + optional random loss.
 
-    Packet lifecycle: on ``send`` the packet first passes the (optional)
-    random loss model, then enters the queue if there is room (else a
-    drop-tail loss), is serialised at ``rate_pps`` packets/second, and
-    finally propagates for ``delay`` seconds.
+    Packet lifecycle: in :meth:`send_burst` each packet first passes
+    the (optional) random loss model, then enters the queue if there is
+    room (else a drop-tail loss), is serialised at ``rate_pps``
+    packets/second, and finally propagates for ``delay`` seconds.
     """
 
     __slots__ = (
@@ -116,90 +116,53 @@ class BottleneckLink:
         """All drops (random + overflow) over everything sent."""
         return (self.dropped + self.overflows) / self.sent if self.sent else 0.0
 
-    def send(self, packet) -> None:
-        """Enqueue one packet for transmission."""
-        self.sent += 1
-        now = self._simulator.now
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.on_packet_sent(self.direction, now)
-        if self.loss_model.is_lost(now):
-            self.dropped += 1
-            if telemetry is not None:
-                telemetry.on_packet_dropped(self.direction, now)
-            self._drop(packet, now)
-            return
-        if self._queued >= self.buffer_packets:
-            self.overflows += 1
-            if telemetry is not None:
-                telemetry.on_packet_dropped(self.direction, now)
-            self._drop(packet, now)
-            return
-        self._queued += 1
-        start = max(now, self._service_free_at)
-        departure = start + self.service_time
-        self._service_free_at = departure
-        # Queue occupancy ends at service completion; the packet then
-        # propagates for `delay` before delivery.  Both events ride the
-        # engine's payload fast path — no closure per packet.
-        self._simulator.schedule_call(departure - now, self._depart, None)
-        self._simulator.schedule_call(departure + self.delay - now, self.deliver, packet)
-
     def send_burst(self, packets) -> None:
-        """Enqueue a whole round, batching the loss draws and telemetry.
+        """Enqueue packets back to back at the current instant.
 
-        Event-for-event identical to per-packet :meth:`send`: the
-        (departure, delivery) event *pair* of each packet must keep its
-        interleaved push order — on a rate grid, packet ``i+k``'s
-        departure can tie packet ``i``'s delivery time exactly, and the
-        engine breaks ties by sequence number, which decides the
-        ``_queued`` count an overflow check observes.  Only the loss
-        draws and hook calls are batched.
+        This is the link's only transmit method; a single packet is a
+        1-tuple.  The loss model is asked once for the burst's verdicts,
+        then the packets are walked in order.  Each survivor of the
+        loss model takes a queue slot (or overflows) and schedules its
+        (departure, delivery) event *pair* before the next packet's:
+        on a rate grid, packet ``i+k``'s departure can tie packet
+        ``i``'s delivery time exactly, and the engine breaks ties by
+        sequence number, which decides the ``_queued`` count an
+        overflow check observes.
         """
+        simulator = self._simulator
+        now = simulator.now
         count = len(packets)
-        if count == 0:
-            return
-        if count == 1:
-            self.send(packets[0])
-            return
-        telemetry = self._telemetry
-        if telemetry is not None and not telemetry.batched_packet_hooks:
-            for packet in packets:
-                self.send(packet)
-            return
-        now = self._simulator.now
         self.sent += count
-        if telemetry is not None:
-            telemetry.on_packets_sent(self.direction, now, count)
         lost_flags = self.loss_model.is_lost_block([now] * count)
-        schedule_call = self._simulator.schedule_call
+        telemetry = self._telemetry
+        direction = self.direction
         service_time = self.service_time
-        drops = 0
         for packet, lost in zip(packets, lost_flags):
+            if telemetry is not None:
+                telemetry.on_packet_sent(direction, now)
             if lost:
                 self.dropped += 1
-                drops += 1
-                self._drop(packet, now)
-                continue
-            if self._queued >= self.buffer_packets:
+            elif self._queued >= self.buffer_packets:
                 self.overflows += 1
-                drops += 1
-                self._drop(packet, now)
+            else:
+                self._queued += 1
+                departure = max(now, self._service_free_at) + service_time
+                self._service_free_at = departure
+                # Queue occupancy ends at service completion; the packet
+                # then propagates for `delay` before delivery.  Both
+                # events ride the engine's payload fast path — no
+                # closure per packet.
+                simulator.schedule_call(departure - now, self._depart, None)
+                simulator.schedule_call(
+                    departure + self.delay - now, self.deliver, packet
+                )
                 continue
-            self._queued += 1
-            start = max(now, self._service_free_at)
-            departure = start + service_time
-            self._service_free_at = departure
-            schedule_call(departure - now, self._depart, None)
-            schedule_call(departure + self.delay - now, self.deliver, packet)
-        if drops and telemetry is not None:
-            telemetry.on_packets_dropped(self.direction, now, drops)
+            if telemetry is not None:
+                telemetry.on_packet_dropped(direction, now)
+            if self.on_drop is not None:
+                self.on_drop(packet, now)
+            if self.release is not None:
+                self.release(packet)
 
     def _depart(self, _payload, _time) -> None:
         self._queued -= 1
-
-    def _drop(self, packet, now: float) -> None:
-        if self.on_drop is not None:
-            self.on_drop(packet, now)
-        if self.release is not None:
-            self.release(packet)

@@ -72,13 +72,9 @@ _UNIFORM_BLOCK = 256
 class LossModel:
     """Base class: decides, per wire transmission, whether it is lost.
 
-    :meth:`is_lost_block` evaluates a whole burst (typically one cwnd
-    of packets submitted in a single round) in one call.  The default
-    implementation loops the scalar :meth:`is_lost`, so third-party
-    models that implement only the scalar method keep working —
-    including under the links' batched transmit path — while the
-    bundled models override it with draw-sequence-identical batched
-    versions.
+    A model implements only :meth:`is_lost`.  Links ask for a burst's
+    verdicts through :meth:`is_lost_block`, which loops :meth:`is_lost`
+    in order; it is the single place the links reach the loss process.
     """
 
     __slots__ = ()
@@ -87,12 +83,8 @@ class LossModel:
         raise NotImplementedError
 
     def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        """Per-transmission outcomes for a burst at the given times.
-
-        Element-for-element identical to calling :meth:`is_lost` once
-        per element, in order — the batched-RNG invariant extended to
-        whole rounds.
-        """
+        """Per-transmission outcomes for a burst at the given times:
+        :meth:`is_lost` once per element, in order."""
         is_lost = self.is_lost
         return [is_lost(now) for now in times]
 
@@ -104,9 +96,6 @@ class NoLoss(LossModel):
 
     def is_lost(self, now: float) -> bool:
         return False
-
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        return [False] * len(times)
 
 
 class _BufferedLoss(LossModel):
@@ -188,45 +177,6 @@ class _BufferedLoss(LossModel):
         self._cursor = cursor + 1
         return outcomes[cursor]
 
-    def _bernoulli_fixed_block(self, n: int) -> List[bool]:
-        """``n`` precomputed outcomes at ``_fixed_rate``, sliced off the
-        block (refilling as needed); consumes exactly ``n`` draws."""
-        out: List[bool] = []
-        cursor = self._cursor
-        outcomes = self._outcomes
-        while n > 0:
-            available = len(outcomes) - cursor
-            if available <= 0:
-                self._refill()
-                outcomes = self._outcomes
-                cursor = 0
-                available = len(outcomes)
-            take = n if n <= available else available
-            out.extend(outcomes[cursor : cursor + take])
-            cursor += take
-            n -= take
-        self._cursor = cursor
-        return out
-
-    def _bernoulli_many(self, probability: float, n: int) -> List[bool]:
-        """``n`` Bernoulli draws at an arbitrary probability in (0, 1),
-        consuming exactly ``n`` uniforms from the block."""
-        out: List[bool] = []
-        append = out.append
-        cursor = self._cursor
-        block = self._block
-        length = len(block)
-        for _ in range(n):
-            if cursor >= length:
-                self._refill()
-                block = self._block
-                length = len(block)
-                cursor = 0
-            append(block[cursor] < probability)
-            cursor += 1
-        self._cursor = cursor
-        return out
-
 
 class BernoulliLoss(_BufferedLoss):
     """Independent loss with a fixed rate."""
@@ -250,11 +200,6 @@ class BernoulliLoss(_BufferedLoss):
             cursor = 0
         self._cursor = cursor + 1
         return outcomes[cursor]
-
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        if self.rate <= 0.0:
-            return [False] * len(times)
-        return self._bernoulli_fixed_block(len(times))
 
 
 class RoundCorrelatedLoss(_BufferedLoss):
@@ -297,26 +242,6 @@ class RoundCorrelatedLoss(_BufferedLoss):
             self._burst_until = now + self.round_duration
             return True
         return False
-
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        out: List[bool] = []
-        append = out.append
-        burst_until = self._burst_until
-        trigger = self.trigger_rate
-        duration = self.round_duration
-        for now in times:
-            # Inside a burst no draw is consumed — identical to the
-            # scalar short-circuit, so a triggered loss silences the
-            # trigger stream for the rest of the round.
-            if now < burst_until:
-                append(True)
-            elif trigger > 0.0 and self._bernoulli_fixed():
-                burst_until = now + duration
-                append(True)
-            else:
-                append(False)
-        self._burst_until = burst_until
-        return out
 
 
 class GilbertElliottLoss(_BufferedLoss):
@@ -384,22 +309,6 @@ class GilbertElliottLoss(_BufferedLoss):
         rate = self.loss_bad if self._in_bad_state else self.loss_good
         return self._bernoulli(rate)
 
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        # A burst is typically a run of equal times, so after the first
-        # element the state-advance check is a single comparison; the
-        # per-packet Bernoulli keeps the scalar short-circuits (the
-        # default loss_good=0 / loss_bad=1 states consume no draws).
-        out: List[bool] = []
-        append = out.append
-        bernoulli = self._bernoulli
-        for now in times:
-            if now >= self._state_expires:
-                self._advance_to(now)
-            append(
-                bernoulli(self.loss_bad if self._in_bad_state else self.loss_good)
-            )
-        return out
-
 
 class HandoffLoss(_BufferedLoss):
     """Deterministic outage windows plus a base loss rate.
@@ -451,23 +360,6 @@ class HandoffLoss(_BufferedLoss):
         rate = self.loss_during if self.in_outage(now) else self.base_rate
         return self._bernoulli(rate)
 
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        n = len(times)
-        if n == 0:
-            return []
-        # The transmit path submits whole rounds at one instant, so the
-        # common case is a single outage lookup for the burst; a burst
-        # spanning several instants falls back to the scalar walk.
-        if times[0] == times[-1]:
-            rate = self.loss_during if self.in_outage(times[0]) else self.base_rate
-            if rate <= 0.0:
-                return [False] * n
-            if rate >= 1.0:
-                return [True] * n
-            return self._bernoulli_many(rate, n)
-        is_lost = self.is_lost
-        return [is_lost(now) for now in times]
-
 
 class TraceDrivenLoss(LossModel):
     """Scripted outcomes: the n-th transmission is lost iff listed.
@@ -491,13 +383,6 @@ class TraceDrivenLoss(LossModel):
         self._count += 1
         return lost
 
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        count = self._count
-        lost_indices = self.lost_indices
-        n = len(times)
-        self._count = count + n
-        return [(count + i) in lost_indices for i in range(n)]
-
 
 class CompositeLoss(LossModel):
     """Lost if any component process loses the packet."""
@@ -518,20 +403,6 @@ class CompositeLoss(LossModel):
             if component.is_lost(now):
                 lost = True
         return lost
-
-    def is_lost_block(self, times: Sequence[float]) -> List[bool]:
-        # Component order matches the scalar path; within a component
-        # the whole burst is drawn at once, which only reorders draws
-        # *across* components — invisible, because every stochastic
-        # model owns a dedicated stream (the batched-RNG invariant).
-        components = self.components
-        result = components[0].is_lost_block(times)
-        for component in components[1:]:
-            block = component.is_lost_block(times)
-            for i, flag in enumerate(block):
-                if flag:
-                    result[i] = True
-        return result
 
 
 def _observed_delivery(
@@ -555,10 +426,11 @@ def _observed_delivery(
 class Link:
     """A one-way link: propagation delay + optional jitter + loss.
 
-    ``deliver`` is called with (packet, arrival_time) when the packet
-    survives; ``on_drop`` (if given) is called with (packet, send_time)
-    when it does not — the trace layer uses it to mark lost packets the
-    way the paper's Fig. 1 marks them at "-1".
+    Packets enter through :meth:`send_burst` (a single packet is a
+    1-tuple).  ``deliver`` is called with (packet, arrival_time) when
+    the packet survives; ``on_drop`` (if given) is called with (packet,
+    send_time) when it does not — the trace layer uses it to mark lost
+    packets the way the paper's Fig. 1 marks them at "-1".
 
     ``deliver`` is required at construction (a link with nowhere to
     deliver is a configuration error, and surfacing it when the first
@@ -638,103 +510,48 @@ class Link:
         """Empirical loss fraction over everything sent so far."""
         return self.dropped / self.sent if self.sent else 0.0
 
-    def send(self, packet) -> None:
-        """Transmit one packet; it either arrives after delay(+jitter) or drops."""
-        self.sent += 1
-        simulator = self._simulator
-        now = simulator.now
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.on_packet_sent(self.direction, now)
-        if self.loss_model.is_lost(now):
-            self.dropped += 1
-            if telemetry is not None:
-                telemetry.on_packet_dropped(self.direction, now)
-            if self.on_drop is not None:
-                self.on_drop(packet, now)
-            if self.release is not None:
-                self.release(packet)
-            return
-        jitter = self.jitter
-        if jitter is None:
-            arrival = now + self.delay
-        else:
-            extra = jitter()
-            arrival = now + self.delay + extra if extra > 0.0 else now + self.delay
-        # FIFO channel: jitter models (correlated) queueing delay, so a
-        # packet can never overtake one sent earlier — i.i.d. reordering
-        # would inject spurious fast retransmits no real cellular link
-        # produces.
-        if arrival < self._last_arrival:
-            arrival = self._last_arrival
-        else:
-            self._last_arrival = arrival
-        simulator.schedule_call(arrival - now, self.deliver, packet)
-
     def send_burst(self, packets: Sequence) -> None:
-        """Transmit a whole round of packets in one call.
+        """Transmit packets back to back at the current instant.
 
-        Equivalent, draw for draw and event for event, to calling
-        :meth:`send` once per packet: the loss model consumes its block
-        with the scalar draw sequence (the batched-RNG invariant),
-        jitter is drawn only for survivors in survivor order, and the
-        delivery events receive the same consecutive engine sequence
-        numbers the scalar loop would assign (nothing else schedules
-        between the per-packet sends of a burst).
-
-        A non-batch-capable telemetry sink (e.g. the timeline recorder,
-        whose record order is part of its contract) forces the exact
-        scalar loop; batch-capable sinks get one hook call per burst.
+        This is the link's only transmit method; a single packet is a
+        1-tuple.  The loss model is asked once for the burst's verdicts,
+        then the packets are walked in order: each reports
+        ``on_packet_sent`` (and ``on_packet_dropped`` if lost), and each
+        survivor arrives after delay (+jitter) through its own
+        ``schedule_call``.
         """
-        count = len(packets)
-        if count == 0:
-            return
-        if count == 1:
-            self.send(packets[0])
-            return
-        telemetry = self._telemetry
-        if telemetry is not None and not telemetry.batched_packet_hooks:
-            for packet in packets:
-                self.send(packet)
-            return
         simulator = self._simulator
         now = simulator.now
+        count = len(packets)
         self.sent += count
-        if telemetry is not None:
-            telemetry.on_packets_sent(self.direction, now, count)
         lost_flags = self.loss_model.is_lost_block([now] * count)
+        telemetry = self._telemetry
+        direction = self.direction
         jitter = self.jitter
         base_arrival = now + self.delay
-        on_drop = self.on_drop
-        release = self.release
-        last = self._last_arrival
-        survivors = []
-        arrivals = []
-        drops = 0
         for packet, lost in zip(packets, lost_flags):
+            if telemetry is not None:
+                telemetry.on_packet_sent(direction, now)
             if lost:
-                drops += 1
-                if on_drop is not None:
-                    on_drop(packet, now)
-                if release is not None:
-                    release(packet)
+                self.dropped += 1
+                if telemetry is not None:
+                    telemetry.on_packet_dropped(direction, now)
+                if self.on_drop is not None:
+                    self.on_drop(packet, now)
+                if self.release is not None:
+                    self.release(packet)
                 continue
             if jitter is None:
                 arrival = base_arrival
             else:
                 extra = jitter()
                 arrival = base_arrival + extra if extra > 0.0 else base_arrival
-            # FIFO clamp, identical to the scalar path.
-            if arrival < last:
-                arrival = last
+            # FIFO channel: jitter models (correlated) queueing delay, so
+            # a packet can never overtake one sent earlier — i.i.d.
+            # reordering would inject spurious fast retransmits no real
+            # cellular link produces.
+            if arrival < self._last_arrival:
+                arrival = self._last_arrival
             else:
-                last = arrival
-            survivors.append(packet)
-            arrivals.append(arrival)
-        self._last_arrival = last
-        if drops:
-            self.dropped += drops
-            if telemetry is not None:
-                telemetry.on_packets_dropped(self.direction, now, drops)
-        if survivors:
-            simulator.schedule_calls_at(arrivals, self.deliver, survivors)
+                self._last_arrival = arrival
+            simulator.schedule_call(arrival - now, self.deliver, packet)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import time as _time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.telemetry.base import Telemetry, active as _active_telemetry
 from repro.util.errors import BudgetExceededError, SimulationError
@@ -140,36 +140,6 @@ class Simulator:
             self._queue, (self.now + delay, self._sequence, action, payload, None)
         )
         self._sequence += 1
-
-    def schedule_calls_at(
-        self, times: Sequence[float], action: Callable, payloads: Sequence
-    ) -> None:
-        """Schedule a batch of ``action(payload, fire_time)`` events.
-
-        ``times`` are *absolute* simulation times, one per payload; all
-        events share ``action``.  Equivalent to a loop of
-        :meth:`schedule_call` — same heap entries, same consecutive
-        sequence numbers in list order — but the sequence counter and
-        heap push are bound once per batch, which is what makes burst
-        delivery (``Link.send_burst``) cheaper than per-packet calls.
-        """
-        if len(times) != len(payloads):
-            raise SimulationError(
-                f"batch mismatch: {len(times)} times for {len(payloads)} payloads"
-            )
-        now = self.now
-        queue = self._queue
-        heappush = heapq.heappush
-        sequence = self._sequence
-        for time, payload in zip(times, payloads):
-            if time < now:
-                self._sequence = sequence
-                raise SimulationError(
-                    f"cannot schedule into the past (time={time}, now={now})"
-                )
-            heappush(queue, (time, sequence, action, payload, None))
-            sequence += 1
-        self._sequence = sequence
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> EventHandle:
         """Schedule ``action`` at an absolute simulation time."""
@@ -400,12 +370,6 @@ class _InstrumentedSimulator(Simulator):
         )
         self._sequence += 1
         self._telemetry.on_event_scheduled()
-
-    def schedule_calls_at(
-        self, times: Sequence[float], action: Callable, payloads: Sequence
-    ) -> None:
-        super().schedule_calls_at(times, action, payloads)
-        self._telemetry.on_events_scheduled(len(times))
 
     def run(self, *args, **kwargs) -> None:
         before = self._events_processed

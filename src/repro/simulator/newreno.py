@@ -47,5 +47,5 @@ class NewRenoSender(RenoSender):
         # missing segment straight away.
         self.cwnd = max(self.cwnd - newly_acked + 1.0, 1.0)
         self._log.record_cwnd(self._simulator.now, self.cwnd, self._phase)
-        self._transmit(self.snd_una, is_retransmission=True)
+        self._send_segments(self.snd_una, self.snd_una + 1)
         self._restart_rto_timer()

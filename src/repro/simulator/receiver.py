@@ -176,4 +176,4 @@ class Receiver:
                 subflow_id=self.subflow_id,
             )
         )
-        self._ack_link.send(ack)
+        self._ack_link.send_burst((ack,))

@@ -5,11 +5,11 @@ and every variant shares: the send window bookkeeping (``snd_una`` /
 ``snd_nxt`` / ``snd_max``), duplicate-ACK counting and fast
 retransmit, RTO arming with exponential backoff (via
 :class:`~repro.simulator.rto.RtoEstimator`), timeout-recovery phase
-records, Karn-filtered RTT sampling, packet pooling, and the batched
-burst path into the link.  Its default policy hooks implement classic
-Reno, so :class:`~repro.simulator.reno.RenoSender` is this class
-unchanged; CUBIC, BBR, Compound, and Relentless override only the
-hooks below.
+records, Karn-filtered RTT sampling, packet pooling, and the one
+segment builder every transmission goes through into the link.  Its
+default policy hooks implement classic Reno, so
+:class:`~repro.simulator.reno.RenoSender` is this class unchanged;
+CUBIC, BBR, Compound, and Relentless override only the hooks below.
 
 **Sender constructor protocol.**  This is the contract a factory
 registered with :func:`repro.cc.register_cc` must satisfy —
@@ -110,7 +110,6 @@ class BaseSender:
         "_telemetry",
         "_tel_records",
         "_pool",
-        "_send_burst",
     )
 
     def __init__(
@@ -163,7 +162,6 @@ class BaseSender:
         # signature stays pool-agnostic; links wired without a pool
         # (third-party harnesses, manual tests) simply allocate.
         self._pool = getattr(data_link, "packet_pool", None)
-        self._send_burst = getattr(data_link, "send_burst", None)
         self._log.record_cwnd(simulator.now, self.cwnd, self._phase)
 
     # -- public surface ---------------------------------------------------
@@ -258,65 +256,6 @@ class BaseSender:
         and backoff collapse; rate estimators and per-round secondary
         windows (BBR, Compound) live here."""
 
-    # -- transmission loop --------------------------------------------------
-
-    def _send_range(self, limit: int) -> None:
-        """(Re)transmit sequence numbers from ``snd_nxt`` up to ``limit``."""
-        nxt = self.snd_nxt
-        count = limit - nxt
-        if count <= 0:
-            return
-        if count == 1 or self._send_burst is None:
-            while self.snd_nxt < limit:
-                self._transmit(
-                    self.snd_nxt, is_retransmission=self.snd_nxt < self.snd_max
-                )
-                self.snd_nxt += 1
-                if self.snd_nxt > self.snd_max:
-                    self.snd_max = self.snd_nxt
-            return
-        # Burst path: build the whole round, then hand it to the link
-        # in one call so loss draws, telemetry, and event scheduling
-        # batch.  ``seq < snd_max`` (the pre-burst value) is exactly
-        # the retransmission flag the scalar loop computes, because
-        # snd_max only trails snd_nxt upward inside the loop.
-        now = self._simulator.now
-        snd_max = self.snd_max
-        subflow_id = self.subflow_id
-        pool = self._pool
-        send_info = self._send_info
-        tel_records = self._tel_records
-        record_send = self._log.record_data_send
-        tid = self._transmission_counter
-        segments = []
-        append = segments.append
-        for seq in range(nxt, limit):
-            retx = seq < snd_max
-            if pool is not None:
-                segment = pool.segment(seq, tid, now, retx, False, subflow_id)
-            else:
-                segment = Segment(seq, tid, now, retx, False, subflow_id)
-            previous = send_info.get(seq)
-            send_info[seq] = (now, retx or (previous is not None and previous[1]))
-            record = DataPacketRecord(
-                transmission_id=tid,
-                seq=seq,
-                send_time=now,
-                is_retransmission=retx,
-                in_timeout_recovery=False,
-                subflow_id=subflow_id,
-            )
-            record_send(record)
-            if tel_records is not None:
-                tel_records[seq] = record
-            tid += 1
-            append(segment)
-        self._transmission_counter = tid
-        self.snd_nxt = limit
-        if limit > snd_max:
-            self.snd_max = limit
-        self._send_burst(segments)
-
     # -- ACK processing -----------------------------------------------------
 
     def on_ack(self, ack: AckSegment, arrival_time: float) -> None:
@@ -390,7 +329,7 @@ class BaseSender:
         self._on_loss_event()
         self._recover_point = self.snd_max
         self._set_phase(_FAST_RECOVERY)
-        self._transmit(self.snd_una, is_retransmission=True)
+        self._send_segments(self.snd_una, self.snd_una + 1)
         self._restart_rto_timer()
 
     # -- timeout handling ---------------------------------------------------
@@ -443,7 +382,7 @@ class BaseSender:
                 now, self.snd_una, spurious, self.rto.backoff_exponent
             )
         self.rto.on_timeout()
-        self._transmit(self.snd_una, is_retransmission=True)
+        self._send_segments(self.snd_una, self.snd_una + 1)
         # Pull the send pointer back: once recovery completes, slow
         # start resumes from just past the retransmitted segment and
         # resends the rest of the outstanding window.
@@ -476,72 +415,87 @@ class BaseSender:
 
     # -- transmission -------------------------------------------------------
 
-    def _transmit(self, seq: int, is_retransmission: bool) -> None:
+    def _send_range(self, limit: int) -> None:
+        """Send from ``snd_nxt`` up to ``limit`` and advance the pointers."""
+        nxt = self.snd_nxt
+        if limit <= nxt:
+            return
+        self._send_segments(nxt, limit)
+        self.snd_nxt = limit
+        if limit > self.snd_max:
+            self.snd_max = limit
+
+    def _send_segments(self, first: int, limit: int) -> None:
+        """Build, record and transmit ``first .. limit-1`` as one burst.
+
+        The single segment builder behind window sends, BBR quanta, fast
+        retransmit, NewReno partial ACKs and RTO retransmissions: a
+        segment below ``snd_max`` is a retransmission, and one sent in
+        timeout recovery is also flagged ``in_timeout_recovery`` —
+        counted toward the open recovery phase and, with a
+        ``redundant_retransmit_link``, doubled on the alternate subflow.
+        """
         now = self._simulator.now
-        in_recovery = self._phase == _TIMEOUT_RECOVERY
+        snd_max = self.snd_max
+        recovering = self._phase == _TIMEOUT_RECOVERY
+        subflow_id = self.subflow_id
         pool = self._pool
-        if pool is not None:
-            segment = pool.segment(
-                seq,
-                self._transmission_counter,
-                now,
-                is_retransmission,
-                in_recovery and is_retransmission,
-                self.subflow_id,
-            )
-        else:
-            segment = Segment(
+        send_info = self._send_info
+        tel_records = self._tel_records
+        record_send = self._log.record_data_send
+        tid = self._transmission_counter
+        segments = []
+        recovery_records = []
+        for seq in range(first, limit):
+            retx = seq < snd_max
+            in_recovery = recovering and retx
+            if pool is not None:
+                segment = pool.segment(seq, tid, now, retx, in_recovery, subflow_id)
+            else:
+                segment = Segment(seq, tid, now, retx, in_recovery, subflow_id)
+            previous = send_info.get(seq)
+            send_info[seq] = (now, retx or (previous is not None and previous[1]))
+            record = DataPacketRecord(
+                transmission_id=tid,
                 seq=seq,
-                transmission_id=self._transmission_counter,
                 send_time=now,
-                is_retransmission=is_retransmission,
-                in_timeout_recovery=in_recovery and is_retransmission,
-                subflow_id=self.subflow_id,
+                is_retransmission=retx,
+                in_timeout_recovery=in_recovery,
+                subflow_id=subflow_id,
             )
-        self._transmission_counter += 1
-        previous = self._send_info.get(seq)
-        self._send_info[seq] = (now, is_retransmission or (previous is not None and previous[1]))
-        record = DataPacketRecord(
-            transmission_id=segment.transmission_id,
-            seq=seq,
-            send_time=now,
-            is_retransmission=is_retransmission,
-            in_timeout_recovery=segment.in_timeout_recovery,
-            subflow_id=self.subflow_id,
-        )
-        self._log.record_data_send(record)
-        if self._tel_records is not None:
-            self._tel_records[seq] = record
-        if segment.in_timeout_recovery and self._current_recovery is not None:
-            self._recovery_records.append(record)
-        self._data_link.send(segment)
-        if (
-            segment.in_timeout_recovery
-            and self.redundant_retransmit_link is not None
-        ):
-            # MPTCP-style double retransmission (paper Section V-B):
-            # the same payload also travels the alternate subflow; the
+            record_send(record)
+            if tel_records is not None:
+                tel_records[seq] = record
+            if in_recovery:
+                recovery_records.append(record)
+            tid += 1
+            segments.append(segment)
+        self._transmission_counter = tid
+        if recovery_records and self._current_recovery is not None:
+            self._recovery_records.extend(recovery_records)
+        self._data_link.send_burst(segments)
+        redundant_link = self.redundant_retransmit_link
+        if recovery_records and redundant_link is not None:
+            # MPTCP-style double retransmission (paper Section V-B): the
+            # same payloads also travel the alternate subflow; the
             # receiver keeps whichever copy survives.
-            copy = Segment(
-                seq=seq,
-                transmission_id=self._transmission_counter,
-                send_time=now,
-                is_retransmission=True,
-                in_timeout_recovery=True,
-                subflow_id=self.subflow_id + 1,
-            )
-            self._transmission_counter += 1
-            self._log.record_data_send(
-                DataPacketRecord(
-                    transmission_id=copy.transmission_id,
-                    seq=seq,
-                    send_time=now,
-                    is_retransmission=True,
-                    in_timeout_recovery=True,
-                    subflow_id=copy.subflow_id,
+            copies = []
+            for original in recovery_records:
+                copy = Segment(original.seq, tid, now, True, True, subflow_id + 1)
+                record_send(
+                    DataPacketRecord(
+                        transmission_id=tid,
+                        seq=original.seq,
+                        send_time=now,
+                        is_retransmission=True,
+                        in_timeout_recovery=True,
+                        subflow_id=copy.subflow_id,
+                    )
                 )
-            )
-            self.redundant_retransmit_link.send(copy)
+                tid += 1
+                copies.append(copy)
+            self._transmission_counter = tid
+            redundant_link.send_burst(copies)
 
     def _set_phase(self, phase: str) -> None:
         if self._telemetry is not None:

@@ -23,12 +23,10 @@ hook                      caller
 ``on_event_scheduled``    ``Simulator.schedule`` / ``schedule_call``
 ``on_events_fired``       ``Simulator.run`` (batched, after the loop exits)
 ``on_event_cancelled``    ``EventHandle.cancel`` (first call only)
-``on_packet_sent``        ``Link.send`` / ``BottleneckLink.send``
-``on_packet_dropped``     the loss / overflow branch of the same
+``on_packet_sent``        each packet of ``Link.send_burst`` /
+                          ``BottleneckLink.send_burst``, in burst order
+``on_packet_dropped``     the loss / overflow branch, right after its send
 ``on_packet_delivered``   the link's deliver callback actually firing
-``on_packets_sent``       ``send_burst`` (batch-capable sinks only)
-``on_packets_dropped``    the burst's drop tally (batch-capable sinks)
-``on_events_scheduled``   ``Simulator.schedule_calls_at`` (batched)
 ``on_rto_armed``          the sender arming its retransmission timer
 ``on_rto_fired``          a retransmission timeout actually handled
 ``on_phase_transition``   every congestion-phase change at the sender
@@ -53,27 +51,10 @@ class Telemetry:
 
     __slots__ = ()
 
-    #: Whether this sink accepts the batched ``on_packets_*`` /
-    #: ``on_events_scheduled`` hooks in place of per-packet calls.
-    #: Sinks whose contract depends on per-packet hook *order* (e.g. a
-    #: timeline recorder) leave this False and the links fall back to
-    #: the exact scalar hook sequence; order-insensitive sinks (the
-    #: counters) set it True and receive one call per burst.
-    batched_packet_hooks = False
-
     # -- engine ---------------------------------------------------------
 
     def on_event_scheduled(self) -> None:
         """One event pushed onto the engine's queue."""
-
-    def on_events_scheduled(self, count: int) -> None:
-        """``count`` events pushed in one batch (``schedule_calls_at``).
-
-        Default unrolls to :meth:`on_event_scheduled` so sinks that
-        only override the scalar hook keep exact counts.
-        """
-        for _ in range(count):
-            self.on_event_scheduled()
 
     def on_events_fired(self, count: int) -> None:
         """``count`` callbacks executed by a ``Simulator.run`` call."""
@@ -91,20 +72,6 @@ class Telemetry:
 
     def on_packet_delivered(self, direction: str, time: float) -> None:
         """It survived and reached the receiving endpoint."""
-
-    def on_packets_sent(self, direction: str, time: float, count: int) -> None:
-        """``count`` transmissions entered a link as one burst.
-
-        Only called on sinks with :attr:`batched_packet_hooks` True (or
-        via this default, which unrolls to the scalar hook).
-        """
-        for _ in range(count):
-            self.on_packet_sent(direction, time)
-
-    def on_packets_dropped(self, direction: str, time: float, count: int) -> None:
-        """``count`` of a burst's packets were dropped (same contract)."""
-        for _ in range(count):
-            self.on_packet_dropped(direction, time)
 
     # -- sender ---------------------------------------------------------
 

@@ -64,10 +64,6 @@ class CountingTelemetry(Telemetry):
 
     __slots__ = COUNTER_NAMES
 
-    #: Counters are order-insensitive, so the links may report whole
-    #: bursts with one hook call instead of one per packet.
-    batched_packet_hooks = True
-
     def __init__(self) -> None:
         for name in COUNTER_NAMES:
             setattr(self, name, 0)
@@ -76,9 +72,6 @@ class CountingTelemetry(Telemetry):
 
     def on_event_scheduled(self) -> None:
         self.events_scheduled += 1
-
-    def on_events_scheduled(self, count: int) -> None:
-        self.events_scheduled += count
 
     def on_events_fired(self, count: int) -> None:
         self.events_fired += count
@@ -108,20 +101,6 @@ class CountingTelemetry(Telemetry):
             self.acks_delivered += 1
         else:
             self.data_delivered += 1
-
-    def on_packets_sent(self, direction: str, time: float, count: int) -> None:
-        self.packets_sent += count
-        if direction == "ack":
-            self.acks_sent += count
-        else:
-            self.data_sent += count
-
-    def on_packets_dropped(self, direction: str, time: float, count: int) -> None:
-        self.packets_dropped += count
-        if direction == "ack":
-            self.acks_dropped += count
-        else:
-            self.data_dropped += count
 
     # -- sender ---------------------------------------------------------
 

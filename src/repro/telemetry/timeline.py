@@ -40,11 +40,6 @@ class TimelineTelemetry(CountingTelemetry):
 
     __slots__ = ("events", "record_packets", "_phase")
 
-    #: The timeline's contract is one record per packet in exact hook
-    #: order, so this sink opts back out of the counting base class's
-    #: batched hooks — links fall back to the scalar per-packet path.
-    batched_packet_hooks = False
-
     def __init__(self, record_packets: bool = False) -> None:
         super().__init__()
         self.events: List[TimelineEvent] = []

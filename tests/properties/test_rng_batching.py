@@ -243,9 +243,10 @@ chunkings = st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_siz
 
 
 class TestIsLostBlockEquivalence:
-    """Every model's ``is_lost_block`` must reproduce the scalar
-    ``is_lost`` decision sequence element-for-element, for any
-    partition of the same times into bursts."""
+    """The base-class ``is_lost_block`` loop the links call must
+    reproduce every model's scalar ``is_lost`` decision sequence
+    element-for-element, for any partition of the same times into
+    bursts."""
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     @given(seed=seeds, steps=increments, chunk_sizes=chunkings)

@@ -18,7 +18,7 @@ class TestUnit:
             deliver=lambda pkt, t: arrivals.append(t),
         )
         for _ in range(3):
-            link.send("x")
+            link.send_burst(("x",))
         sim.run()
         # service times 0.1, 0.2, 0.3 plus 0.01 propagation
         assert arrivals == pytest.approx([0.11, 0.21, 0.31])
@@ -32,7 +32,7 @@ class TestUnit:
             on_drop=lambda pkt, t: drops.append(pkt),
         )
         for index in range(5):
-            link.send(index)
+            link.send_burst((index,))
         sim.run()
         assert len(arrivals) == 2
         assert len(drops) == 3
@@ -45,9 +45,9 @@ class TestUnit:
             sim, delay=0.01, rate_pps=10.0, buffer_packets=2,
             deliver=lambda pkt, t: arrivals.append(pkt),
         )
-        link.send(1)
-        link.send(2)
-        sim.schedule(1.0, lambda: link.send(3))  # queue empty again by then
+        link.send_burst((1,))
+        link.send_burst((2,))
+        sim.schedule(1.0, lambda: link.send_burst((3,)))  # queue empty again by then
         sim.run()
         assert arrivals == [1, 2, 3]
         assert link.overflows == 0
@@ -59,8 +59,8 @@ class TestUnit:
             sim, delay=0.01, rate_pps=100.0, loss_model=TraceDrivenLoss([0]),
             deliver=lambda pkt, t: arrivals.append(pkt),
         )
-        link.send("lost")
-        link.send("ok")
+        link.send_burst(("lost",))
+        link.send_burst(("ok",))
         sim.run()
         assert arrivals == ["ok"]
         assert link.dropped == 1
@@ -73,7 +73,7 @@ class TestUnit:
             deliver=lambda pkt, t: None,
         )
         for _ in range(4):
-            link.send("x")  # 1 random drop, then queue=1 -> 2 overflows
+            link.send_burst(("x",))  # 1 random drop, then queue=1 -> 2 overflows
         assert link.loss_fraction == pytest.approx(3 / 4)
 
     def test_validation(self):

@@ -158,7 +158,7 @@ class TestLink:
         sim = Simulator()
         arrivals = []
         link = Link(sim, delay=0.05, deliver=lambda pkt, t: arrivals.append((pkt, t)))
-        sim.schedule(1.0, lambda: link.send("hello"))
+        sim.schedule(1.0, lambda: link.send_burst(("hello",)))
         sim.run()
         assert arrivals == [("hello", pytest.approx(1.05))]
 
@@ -170,8 +170,8 @@ class TestLink:
             deliver=lambda pkt, t: arrivals.append(pkt),
             on_drop=lambda pkt, t: drops.append((pkt, t)),
         )
-        link.send("lost")
-        link.send("ok")
+        link.send_burst(("lost",))
+        link.send_burst(("ok",))
         sim.run()
         assert arrivals == ["ok"]
         assert drops == [("lost", 0.0)]
@@ -181,7 +181,7 @@ class TestLink:
         link = Link(sim, delay=0.01, loss_model=TraceDrivenLoss([0, 1]),
                     deliver=lambda pkt, t: None)
         for _ in range(4):
-            link.send("x")
+            link.send_burst(("x",))
         assert link.sent == 4
         assert link.dropped == 2
         assert link.loss_fraction == pytest.approx(0.5)
@@ -191,7 +191,7 @@ class TestLink:
         arrivals = []
         link = Link(sim, delay=0.05, jitter=lambda: 0.02,
                     deliver=lambda pkt, t: arrivals.append(t))
-        link.send("x")
+        link.send_burst(("x",))
         sim.run()
         assert arrivals == [pytest.approx(0.07)]
 
@@ -200,7 +200,7 @@ class TestLink:
         arrivals = []
         link = Link(sim, delay=0.05, jitter=lambda: -1.0,
                     deliver=lambda pkt, t: arrivals.append(t))
-        link.send("x")
+        link.send_burst(("x",))
         sim.run()
         assert arrivals == [pytest.approx(0.05)]
 
@@ -218,8 +218,8 @@ class TestLink:
         sim = Simulator()
         arrivals = []
         link = Link(sim, delay=0.05, deliver=lambda pkt, t: arrivals.append(pkt))
-        link.send(1)
-        sim.schedule(0.001, lambda: link.send(2))
+        link.send_burst((1,))
+        sim.schedule(0.001, lambda: link.send_burst((2,)))
         sim.run()
         assert arrivals == [1, 2]
 

@@ -14,7 +14,9 @@ from repro.telemetry import COUNTER_NAMES, CountingTelemetry, FlowTelemetrySumma
 from repro.util.rng import RngStream
 
 
-def _lossy_flow(telemetry, seed=11, duration=25.0, variant="reno"):
+def _lossy_flow(
+    telemetry, seed=11, duration=25.0, variant="reno", bottleneck_rate=None
+):
     return run_flow(
         ConnectionConfig(duration=duration, jitter_sigma=0.1),
         data_loss=BernoulliLoss(0.012, RngStream(seed, "data")),
@@ -24,14 +26,28 @@ def _lossy_flow(telemetry, seed=11, duration=25.0, variant="reno"):
         seed=seed,
         variant=variant,
         telemetry=telemetry,
+        bottleneck_rate=bottleneck_rate,
+        bottleneck_buffer=8,
     )
 
 
 class TestReconciliation:
-    @pytest.mark.parametrize("variant", ["reno", "newreno"])
-    def test_counters_match_flow_log(self, variant):
+    @pytest.mark.parametrize(
+        "variant, bottleneck_rate",
+        [
+            pytest.param("reno", None, id="reno"),
+            pytest.param("newreno", None, id="newreno"),
+            # a drop-tail queue: overflow drops report through the same
+            # on_packet_dropped hook and on_drop mark as random losses
+            pytest.param("reno", 150.0, id="reno-bottleneck"),
+        ],
+    )
+    def test_counters_match_flow_log(self, variant, bottleneck_rate):
         telemetry = CountingTelemetry()
-        log = _lossy_flow(telemetry, variant=variant).log
+        result = _lossy_flow(
+            telemetry, variant=variant, bottleneck_rate=bottleneck_rate
+        )
+        log = result.log
 
         assert telemetry.data_sent == log.data_sent
         assert telemetry.data_dropped == log.data_lost

@@ -1,7 +1,8 @@
 """TimelineTelemetry: phase-tagged event records."""
 
-from repro.simulator.channel import BernoulliLoss
+from repro.simulator.channel import BernoulliLoss, Link, TraceDrivenLoss
 from repro.simulator.connection import ConnectionConfig, run_flow
+from repro.simulator.engine import Simulator
 from repro.telemetry import TimelineTelemetry
 from repro.util.rng import RngStream
 
@@ -39,6 +40,22 @@ class TestTimeline:
         assert (
             len(telemetry.events_of_kind("delivery")) == telemetry.packets_delivered
         )
+
+    def test_burst_hooks_fire_per_packet_in_order(self):
+        # A drop reports right after its own send, before the next
+        # packet of the same burst is sent.
+        telemetry = TimelineTelemetry(record_packets=True)
+        link = Link(
+            Simulator(telemetry=telemetry),
+            delay=0.05,
+            loss_model=TraceDrivenLoss([1]),
+            deliver=lambda packet, time: None,
+            telemetry=telemetry,
+        )
+        link.send_burst(("a", "b", "c"))
+        assert [event.kind for event in telemetry.events] == [
+            "send", "send", "drop", "send",
+        ]
 
     def test_events_are_time_ordered(self):
         telemetry = TimelineTelemetry()
