@@ -171,6 +171,42 @@ class FlowOutcome:
             self.trace = capture_flow(self.result, metadata, validate=False)
 
 
+def _failure(
+    spec: FlowSpec, attempt: int, seed: int, error: BaseException, failure_class: str
+) -> FlowFailure:
+    """The record of one failed execution of ``spec``.
+
+    The one place a :class:`FlowFailure` is built: the attempt loop
+    below records each exception it catches, and the supervisor records
+    worker crashes, deadline preemptions and worker-side raises.
+    """
+    return FlowFailure(
+        flow_id=spec.flow_id,
+        attempt=attempt,
+        seed=seed,
+        error_type=type(error).__name__,
+        error=str(error),
+        failure_class=failure_class,
+    )
+
+
+def _quarantined(
+    index: int, spec: FlowSpec, failures: List[FlowFailure], reason: str, attempts: int
+) -> FlowOutcome:
+    """The outcome of a flow given up on, keyed by its base seed."""
+    return FlowOutcome(
+        index=index,
+        spec=spec,
+        result=None,
+        trace=None,
+        failures=failures,
+        quarantine=QuarantineRecord(
+            flow_id=spec.flow_id, seed=spec.seed, reason=reason
+        ),
+        attempts=attempts,
+    )
+
+
 def _execute_payload(
     payload: Tuple[int, FlowSpec, RetryPolicy],
 ) -> FlowOutcome:
@@ -190,7 +226,6 @@ def _execute_payload(
     """
     index, spec, policy = payload
     failures: List[FlowFailure] = []
-    last_error = "unknown"
     for attempt in range(policy.max_attempts):
         seed = policy.seed_for_attempt(spec.seed, attempt)
         attempt_spec = spec if attempt == 0 else spec.for_attempt(seed)
@@ -202,33 +237,13 @@ def _execute_payload(
             result, trace = simulate_spec(attempt_spec)
         except Exception as error:  # per-flow isolation: record, retry
             failure_class = policy.classify(error)
-            last_error = f"{type(error).__name__}: {error}"
-            failures.append(
-                FlowFailure(
-                    flow_id=spec.flow_id,
-                    attempt=attempt,
-                    seed=seed,
-                    error_type=type(error).__name__,
-                    error=str(error),
-                    failure_class=failure_class,
-                )
-            )
+            failures.append(_failure(spec, attempt, seed, error, failure_class))
             if not policy.retries(failure_class):
-                return FlowOutcome(
-                    index=index,
-                    spec=spec,
-                    result=None,
-                    trace=None,
-                    failures=failures,
-                    quarantine=QuarantineRecord(
-                        flow_id=spec.flow_id,
-                        seed=spec.seed,
-                        reason=(
-                            f"deterministic failure on attempt {attempt}; "
-                            f"not retried: {last_error}"
-                        ),
-                    ),
-                    attempts=attempt + 1,
+                return _quarantined(
+                    index, spec, failures,
+                    f"deterministic failure on attempt {attempt}; "
+                    f"not retried: {type(error).__name__}: {error}",
+                    attempt + 1,
                 )
         else:
             return FlowOutcome(
@@ -239,21 +254,31 @@ def _execute_payload(
                 failures=failures,
                 attempts=attempt + 1,
             )
-    return FlowOutcome(
-        index=index,
-        spec=spec,
-        result=None,
-        trace=None,
-        failures=failures,
-        quarantine=QuarantineRecord(
-            flow_id=spec.flow_id,
-            seed=spec.seed,
-            reason=(
-                f"all {policy.max_attempts} attempts failed; last: {last_error}"
-            ),
-        ),
-        attempts=policy.max_attempts,
+    last = failures[-1]
+    return _quarantined(
+        index, spec, failures,
+        f"all {policy.max_attempts} attempts failed; "
+        f"last: {last.error_type}: {last.error}",
+        policy.max_attempts,
     )
+
+
+def _merge_telemetry(outcomes: Iterable[FlowOutcome]) -> Optional[CampaignTelemetry]:
+    """Merge per-flow counters, in outcome order, into one campaign
+    artefact; None when no outcome carries counters.
+
+    Merged from wall-clock-free counters, so spec-order input gives the
+    same bytes on every backend.
+    """
+    campaign: Optional[CampaignTelemetry] = None
+    for outcome in outcomes:
+        result = outcome.result
+        if result is None or not isinstance(result.telemetry, CountingTelemetry):
+            continue
+        if campaign is None:
+            campaign = CampaignTelemetry()
+        campaign.merge_flow(result.telemetry.summarise(outcome.spec.flow_id))
+    return campaign
 
 
 class SerialBackend:
@@ -591,7 +616,10 @@ class Executor:
                     report.cache_corrupt += 1
                 elif outcome.cache_state == "error":
                     report.cache_errors += 1
-        telemetry = self._gather_telemetry(outcomes, ambient)
+        telemetry = _merge_telemetry(outcomes)
+        aggregate = ambient.aggregate if ambient is not None else None
+        if telemetry is not None and aggregate is not None:
+            aggregate.merge(telemetry)
         return ExecutionResult(outcomes=outcomes, report=report, telemetry=telemetry)
 
     def _effective_backend(self):
@@ -632,23 +660,6 @@ class Executor:
         return CachedBackend(
             config.store, supervised, refresh=config.refresh
         )
-
-    @staticmethod
-    def _gather_telemetry(
-        outcomes: List[FlowOutcome], ambient
-    ) -> Optional[CampaignTelemetry]:
-        """Merge per-flow counters (spec order) into one campaign artefact."""
-        campaign: Optional[CampaignTelemetry] = None
-        for outcome in outcomes:
-            result = outcome.result
-            if result is None or not isinstance(result.telemetry, CountingTelemetry):
-                continue
-            if campaign is None:
-                campaign = CampaignTelemetry()
-            campaign.merge_flow(result.telemetry.summarise(outcome.spec.flow_id))
-        if campaign is not None and ambient is not None and ambient.aggregate is not None:
-            ambient.aggregate.merge(campaign)
-        return campaign
 
     def _finalise(self, spec: FlowSpec, collect: bool = False) -> FlowSpec:
         """Bake ambient context into the spec before it leaves this process.

@@ -8,12 +8,14 @@ modes that an in-process ``except`` can never see:
   calls ``os._exit`` breaks the whole ``ProcessPoolExecutor``
   (``BrokenProcessPool``) and, unsupervised, loses the entire batch.
   The :class:`SupervisedBackend` catches the break, rebuilds the pool,
-  and isolates the killer spec by re-running the suspects through a
-  one-worker pool (an *ordered isolation probe*: with a single worker,
-  futures start strictly in submission order, so the first broken
-  future **is** the killer — a sharper version of bisecting the failed
-  batch).  The killer gets a :class:`~repro.robustness.campaign.FlowFailure`
-  with the ``worker_crash`` failure class and is retried; innocent
+  and isolates the killer spec in the same pool loop at one in-flight
+  payload: the suspects go back to the front of the queue and run one
+  at a time until all have finished, so the next break has exactly one
+  suspect — the killer (a sharper version of bisecting the failed
+  batch).  Isolation is an ordinary stretch of the loop, so signal
+  drains, deadlines and the restart budget apply to it unchanged.  The
+  killer gets a :class:`~repro.robustness.campaign.FlowFailure` with
+  the ``worker_crash`` failure class and is retried; innocent
   bystanders are re-run without any failure record.
 
 * **hung flows** — the in-simulation :class:`~repro.robustness.watchdog.Watchdog`
@@ -65,10 +67,14 @@ from repro.exec.executor import (
     FlowOutcome,
     ProcessPoolBackend,
     SerialBackend,
+    _failure,
+    _quarantined,
 )
-from repro.robustness.campaign import FlowFailure, QuarantineRecord, RetryPolicy
+from repro.robustness.campaign import FlowFailure, RetryPolicy
 from repro.telemetry.counters import CountingTelemetry
-from repro.util.errors import ConfigurationError
+from repro.util.errors import (
+    ConfigurationError, DeadlineExceededError, WorkerCrashError,
+)
 
 __all__ = [
     "SupervisedBackend",
@@ -266,6 +272,46 @@ class _Tracked:
         return self.payload[2]
 
 
+def _by_position(tracked: _Tracked) -> int:
+    return tracked.position
+
+
+@dataclass
+class _Batch:
+    """One ``map`` call's mutable state, shared by every loop step."""
+
+    fn: Callable
+    results: List[Optional[FlowOutcome]]
+    progress: Optional[Callable[[int], None]]
+    drain: _DrainGuard
+    #: payloads waiting to run; retries and rolled-back executions go
+    #: back to the front
+    pending: "deque[_Tracked]" = field(default_factory=deque)
+    done: int = 0
+    #: pool rebuilds so far, checked against ``max_worker_restarts``
+    restarts: int = 0
+
+    def complete(self, tracked: _Tracked, outcome: FlowOutcome) -> None:
+        """Merge supervisor-level failures into the outcome and file it."""
+        if tracked.failures:
+            outcome.failures = list(tracked.failures) + list(outcome.failures)
+            outcome.attempts += len(tracked.failures)
+        if outcome.result is not None and isinstance(
+            outcome.result.telemetry, CountingTelemetry
+        ):
+            telemetry = outcome.result.telemetry
+            telemetry.worker_crashes = sum(
+                1 for f in outcome.failures if f.failure_class == "worker_crash"
+            )
+            telemetry.deadline_preemptions = sum(
+                1 for f in outcome.failures if f.failure_class == "deadline"
+            )
+        self.results[tracked.position] = outcome
+        self.done += 1
+        if self.progress is not None:
+            self.progress(self.done)
+
+
 class SupervisedBackend:
     """Crash-recovering, deadline-enforcing, drain-aware backend wrapper.
 
@@ -278,6 +324,13 @@ class SupervisedBackend:
     ``(index, FlowSpec, RetryPolicy)`` tuples mapped over a picklable
     function — which is exactly what :class:`~repro.exec.executor.Executor`
     submits.
+
+    :meth:`_run_pooled` is the only loop that runs a payload in a
+    worker process.  Crash isolation is that loop at one in-flight
+    payload: after a break with several suspects, they re-run from the
+    queue front one at a time until all have finished, under the same
+    drain, deadline and restart-budget handling as every other
+    execution.
 
     The supervisor forces a (single-worker) pool when ``deadline_s`` is
     set even for serial inner backends: preemption needs a process
@@ -341,36 +394,37 @@ class SupervisedBackend:
             # drain guards and pools here would only fight that
             # machinery, so the batch is delegated verbatim.
             return self.inner.map(fn, items, progress)
-        results: List[Optional[FlowOutcome]] = [None] * len(items)
-        done_box = [0]
         with _DrainGuard(self.policy.drain_signals) as drain:
+            batch = _Batch(fn, [None] * len(items), progress, drain)
             self.prepare_batch(items)
             tracked = [
                 _Tracked(position=position, payload=payload)
                 for position, payload in enumerate(items)
             ]
-            workers, use_pool = self._mode(fn, items, tracked, results,
-                                           progress, done_box, drain)
-            remaining = [t for t in tracked if results[t.position] is None]
-            if use_pool and remaining:
-                self._run_pooled(
-                    fn, remaining, workers, drain, results, progress, done_box
-                )
-            elif remaining:
-                self._run_inline(fn, remaining, drain, results, progress, done_box)
+            workers, use_pool = self._mode(batch, items, tracked)
+            batch.pending.extend(
+                t for t in tracked if batch.results[t.position] is None
+            )
+            if use_pool and batch.pending:
+                self._run_pooled(batch, workers)
+            else:
+                self._run_inline(batch)
         # Whatever never ran (signal drain) comes back as a skipped
         # placeholder: present, ordered, but excluded from accounting.
+        results = batch.results
         for position, payload in enumerate(items):
             if results[position] is None:
-                results[position] = self._skipped_outcome(position, payload)
+                index, spec, _policy = payload
+                results[position] = FlowOutcome(
+                    index=index, spec=spec, result=None, trace=None,
+                    attempts=0, skipped=True,
+                )
                 self.last_interrupted = True
         return results
 
     # -- mode selection ------------------------------------------------
 
-    def _mode(
-        self, fn, items, tracked, results, progress, done_box, drain
-    ) -> Tuple[int, bool]:
+    def _mode(self, batch: _Batch, items, tracked) -> Tuple[int, bool]:
         """(workers, use_pool) for this batch, honouring the inner backend.
 
         An :class:`~repro.exec.executor.AutoBackend` inner gets its
@@ -387,7 +441,7 @@ class SupervisedBackend:
             use_pool, workers = inner.probe(
                 items,
                 runner=lambda item, position: self._run_one_inline(
-                    fn, tracked[position], drain, results, progress, done_box
+                    batch, tracked[position]
                 ),
             )
             return workers, use_pool or forced
@@ -397,54 +451,51 @@ class SupervisedBackend:
 
     # -- inline execution ----------------------------------------------
 
-    def _run_one_inline(
-        self, fn, tracked: _Tracked, drain, results, progress, done_box
-    ) -> Optional[FlowOutcome]:
-        if drain.tripped:
-            return None
+    @staticmethod
+    def _run_one_inline(batch: _Batch, tracked: _Tracked) -> None:
+        if batch.drain.tripped:
+            return
         tracked.executions += 1
-        outcome = fn(tracked.payload)
-        self._complete(tracked, outcome, results, progress, done_box)
-        return outcome
+        batch.complete(tracked, batch.fn(tracked.payload))
 
-    def _run_inline(self, fn, remaining, drain, results, progress, done_box):
-        for tracked in remaining:
-            if drain.tripped:
+    def _run_inline(self, batch: _Batch) -> None:
+        for tracked in batch.pending:
+            if batch.drain.tripped:
                 break
-            self._run_one_inline(fn, tracked, drain, results, progress, done_box)
+            self._run_one_inline(batch, tracked)
 
     # -- pooled execution ----------------------------------------------
 
-    def _run_pooled(
-        self, fn, remaining, workers, drain, results, progress, done_box
-    ) -> None:
-        policy = self.policy
-        self._isolation_fn = fn
-        restarts = [0]
-        pending = deque(remaining)
+    def _run_pooled(self, batch: _Batch, workers: int) -> None:
+        pending = batch.pending
         pool: Optional[ProcessPoolExecutor] = None
         inflight: Dict[object, _Tracked] = {}
         order: Dict[object, int] = {}
         submitted = 0
+        # unfinished crash suspects; while any remain, at most one
+        # payload is in flight, so the next break has one suspect
+        suspects: List[_Tracked] = []
         try:
             while pending or inflight:
-                if drain.tripped:
-                    self._drain_inflight(
-                        pool, inflight, results, progress, done_box
-                    )
+                if batch.drain.tripped:
+                    self._drain_inflight(pool, inflight, batch)
                     pool = None
                     return  # pending never ran: map() marks them skipped
                 if pool is None:
                     pool = self._fresh_pool(min(workers, max(len(pending), 1)))
-                submit_broke = False
-                while pending and len(inflight) < workers:
+                if suspects:
+                    suspects = [
+                        t for t in suspects if batch.results[t.position] is None
+                    ]
+                cap = 1 if suspects else workers
+                while pending and len(inflight) < cap:
                     tracked = pending.popleft()
                     action = self._action_for(tracked.payload, tracked.executions)
                     tracked.executions += 1
                     tracked.started = time.monotonic()
                     try:
                         future = pool.submit(
-                            _supervised_call, fn, tracked.payload, action
+                            _supervised_call, batch.fn, tracked.payload, action
                         )
                     except BrokenProcessPool:
                         # The pool broke between waits (a worker died
@@ -453,83 +504,101 @@ class SupervisedBackend:
                         # the crash path below sort out the in-flight.
                         tracked.executions -= 1
                         pending.appendleft(tracked)
-                        submit_broke = True
                         break
                     inflight[future] = tracked
                     order[future] = submitted
                     submitted += 1
-                if submit_broke and not inflight:
-                    # Nothing was in flight, so nobody is a suspect:
-                    # the pool just needs rebuilding (budget applies).
-                    restarts[0] += 1
-                    self._kill_pool(pool)
-                    pool = None
-                    if restarts[0] > self.policy.max_worker_restarts:
-                        self._give_up_all(
-                            [], pending, "worker-restart budget exhausted",
-                            results, progress, done_box,
+                if not inflight:
+                    # The pool broke before anything ran, so nobody is
+                    # a suspect: it just needs rebuilding (the budget
+                    # still counts it).
+                    victims, bystanders, cause, failure_class = [], [], None, ""
+                else:
+                    crashed = self._reap(batch, pool, inflight, order)
+                    if crashed:
+                        in_flight = sorted(
+                            crashed + list(inflight.values()), key=_by_position
                         )
-                    continue
-                done, _ = wait(
-                    list(inflight),
-                    timeout=self._wait_timeout(inflight, drain),
-                    return_when=FIRST_COMPLETED,
-                )
-                crashed: List[_Tracked] = []
-                for future in sorted(done, key=order.__getitem__):
-                    tracked = inflight.pop(future)
-                    order.pop(future, None)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        crashed.append(tracked)
-                    except BaseException as error:  # worker-side raise
-                        self._record_worker_error(
-                            tracked, error, pending, results, progress, done_box
+                        victims, bystanders = in_flight, []
+                        if len(in_flight) > 1:
+                            # Nobody knows whose worker died: roll every
+                            # execution back and isolate them.
+                            victims, bystanders = [], in_flight
+                            suspects = in_flight
+                            print(
+                                "supervise: worker died; isolating the killer "
+                                f"among {len(in_flight)} in-flight flows",
+                                file=sys.stderr,
+                                flush=True,
+                            )
+                        cause = WorkerCrashError(
+                            "worker process died while running this flow "
+                            f"(exit status {_CRASH_EXIT_STATUS} or signal); "
+                            "pool rebuilt"
                         )
+                        failure_class = "worker_crash"
                     else:
-                        self._complete(
-                            tracked, outcome, results, progress, done_box
-                        )
-                if crashed:
-                    bystanders = sorted(
-                        inflight.values(), key=lambda t: t.position
-                    )
-                    inflight.clear()
-                    order.clear()
-                    self._kill_pool(pool)
-                    pool = None
-                    self._handle_crash(
-                        crashed, bystanders, workers, restarts, pending,
-                        results, progress, done_box,
-                    )
-                    continue
-                if policy.deadline_s is not None and inflight:
-                    now = time.monotonic()
-                    overdue = [
-                        tracked
-                        for tracked in inflight.values()
-                        if now - tracked.started > policy.deadline_s
-                    ]
-                    if overdue:
+                        victims = self._overdue(inflight)
+                        if not victims:
+                            continue
                         bystanders = [
-                            tracked
-                            for tracked in inflight.values()
-                            if tracked not in overdue
+                            t for t in inflight.values() if t not in victims
                         ]
-                        inflight.clear()
-                        order.clear()
-                        self._kill_pool(pool)
-                        pool = None
-                        self._handle_deadline(
-                            overdue, bystanders, restarts, pending,
-                            results, progress, done_box,
+                        cause = DeadlineExceededError(
+                            f"flow exceeded its {self.policy.deadline_s:g}s "
+                            "wall-clock deadline; worker killed"
                         )
+                        failure_class = "deadline"
+                inflight.clear()
+                order.clear()
+                self._kill_pool(pool)
+                pool = None
+                self._preempt(batch, victims, bystanders, cause, failure_class)
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
 
-    def _wait_timeout(self, inflight: Dict[object, _Tracked], drain) -> float:
+    def _reap(self, batch: _Batch, pool, inflight, order) -> List[_Tracked]:
+        """Wait for the next completions and file them; the payloads
+        whose worker died come back (the pool is broken)."""
+        done, _ = wait(
+            list(inflight),
+            timeout=self._wait_timeout(inflight),
+            return_when=FIRST_COMPLETED,
+        )
+        if not done and self._lost_worker(pool):
+            # The pool watches a worker spawned while its manager thread
+            # was already waiting only from its next event on, so that
+            # worker's death can go unnoticed until another flow ends
+            # (or a deadline fires): treat it as the break it is.
+            order.clear()
+            return [inflight.pop(future) for future in list(inflight)]
+        crashed: List[_Tracked] = []
+        for future in sorted(done, key=order.__getitem__):
+            tracked = inflight.pop(future)
+            order.pop(future, None)
+            try:
+                outcome = future.result()
+            except BrokenProcessPool:
+                crashed.append(tracked)
+            except BaseException as error:  # worker-side raise
+                # escaped the payload's own retry loop (injected chaos,
+                # pickling trouble): the taxonomy applies
+                self._record(
+                    batch, tracked, error, tracked.retry_policy.classify(error)
+                )
+            else:
+                batch.complete(tracked, outcome)
+        return crashed
+
+    def _overdue(self, inflight: Dict[object, _Tracked]) -> List[_Tracked]:
+        deadline = self.policy.deadline_s
+        if deadline is None:
+            return []
+        now = time.monotonic()
+        return [t for t in inflight.values() if now - t.started > deadline]
+
+    def _wait_timeout(self, inflight: Dict[object, _Tracked]) -> float:
         """How long one future-wait may block.
 
         Short enough to notice drain flags and deadlines promptly; a
@@ -547,262 +616,70 @@ class SupervisedBackend:
 
     # -- failure handling ----------------------------------------------
 
-    def _handle_crash(
-        self, crashed, bystanders, workers, restarts, pending,
-        results, progress, done_box,
+    def _preempt(
+        self, batch: _Batch, victims, bystanders, cause, failure_class
     ) -> None:
-        """A pool break: isolate the killer(s), re-run the innocent.
+        """The pool was killed under running flows (a crash or a
+        deadline): count the restart, check the budget, roll back the
+        bystanders, record the victims.
 
-        With one worker the single in-flight payload *is* the killer.
-        With several, nobody knows whose worker died — every broken
-        execution is rolled back (the execution index is not consumed)
-        and the suspects are re-run through an ordered one-worker
-        isolation probe, where the first break identifies a killer
-        exactly.  Bystanders re-run with no failure record.
+        A bystander's execution was aborted through no fault of its
+        own, so its index is not consumed and it re-runs from the queue
+        front with no failure record.
         """
-        restarts[0] += 1
-        suspects = sorted(crashed + list(bystanders), key=lambda t: t.position)
-        if restarts[0] > self.policy.max_worker_restarts:
+        batch.restarts += 1
+        if batch.restarts > self.policy.max_worker_restarts:
             self._give_up_all(
-                suspects, pending, "worker-restart budget exhausted",
-                results, progress, done_box,
+                batch, sorted(victims + bystanders, key=_by_position),
+                "worker-restart budget exhausted",
             )
             return
-        if len(suspects) == 1:
-            self._record_crash(
-                suspects[0], pending, results, progress, done_box
+        for tracked in sorted(bystanders, key=_by_position, reverse=True):
+            tracked.executions -= 1
+            batch.pending.appendleft(tracked)
+        for tracked in sorted(victims, key=_by_position):
+            print(
+                f"supervise: {tracked.spec.flow_id!r} (execution "
+                f"{tracked.executions - 1}): {cause}",
+                file=sys.stderr,
+                flush=True,
             )
-            return
-        for tracked in suspects:
-            tracked.executions -= 1  # aborted: the execution never counted
-        print(
-            f"supervise: worker died; isolating the killer among "
-            f"{len(suspects)} in-flight flows",
-            file=sys.stderr,
-            flush=True,
-        )
-        for tracked in reversed(suspects):
-            pending.appendleft(tracked)
-        # The isolation probe is simply the same loop at workers=1: the
-        # re-queued suspects run in order, and the next break has
-        # exactly one in-flight payload — the killer.  (Flows queued
-        # behind them are unaffected: they execute after isolation,
-        # wherever the pool is by then.)
-        # Switching the whole remainder to one worker would serialise
-        # the campaign, so only the suspects are probed: they sit at
-        # the queue front, and we momentarily cap submission.
-        self._isolate(suspects, pending, restarts, results, progress, done_box)
+            self._record(batch, tracked, cause, failure_class)
 
-    def _isolate(
-        self, suspects, pending, restarts, results, progress, done_box
+    def _record(
+        self, batch: _Batch, tracked: _Tracked, error, failure_class: str
     ) -> None:
-        """Ordered one-worker probe over the suspect list.
-
-        Runs the suspects (currently at the front of ``pending``)
-        through dedicated single-worker pools until none of them is
-        left; each break identifies the first unfinished suspect as a
-        killer.  Deadlines still apply — a suspect that *hangs* rather
-        than crashes is preempted here too.
-        """
-        suspect_set = {id(t) for t in suspects}
-        probe = deque()
-        while pending and id(pending[0]) in suspect_set:
-            probe.append(pending.popleft())
-        fn = self._isolation_fn
-        while probe:
-            tracked = probe.popleft()
-            if restarts[0] > self.policy.max_worker_restarts:
-                self._give_up_all(
-                    [tracked], probe, "worker-restart budget exhausted",
-                    results, progress, done_box,
-                )
-                continue
-            self._probe_one(
-                fn, tracked, restarts, probe, results, progress, done_box
-            )
-
-    #: set by map() so isolation probes reuse the same mapped function
-    _isolation_fn: Optional[Callable] = None
-
-    def _probe_one(
-        self, fn, tracked, restarts, requeue, results, progress, done_box
-    ) -> bool:
-        """Run one suspect alone in a fresh single-worker pool."""
-        pool = self._fresh_pool(1)
-        action = self._action_for(tracked.payload, tracked.executions)
-        tracked.executions += 1
-        tracked.started = time.monotonic()
-        future = pool.submit(_supervised_call, fn, tracked.payload, action)
-        deadline = self.policy.deadline_s
-        try:
-            while True:
-                done, _ = wait([future], timeout=self.POLL_S)
-                if done:
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        restarts[0] += 1
-                        self._kill_pool(pool)
-                        self._record_crash(
-                            tracked, requeue, results, progress, done_box
-                        )
-                        return False
-                    except BaseException as error:
-                        self._record_worker_error(
-                            tracked, error, requeue, results, progress, done_box
-                        )
-                        return False
-                    else:
-                        self._complete(
-                            tracked, outcome, results, progress, done_box
-                        )
-                        return True
-                if (
-                    deadline is not None
-                    and time.monotonic() - tracked.started > deadline
-                ):
-                    restarts[0] += 1
-                    self._kill_pool(pool)
-                    self._record_deadline(
-                        tracked, requeue, results, progress, done_box
-                    )
-                    return False
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _handle_deadline(
-        self, overdue, bystanders, restarts, pending,
-        results, progress, done_box,
-    ) -> None:
-        """Preempt hung flows; re-run the innocent without a record."""
-        restarts[0] += 1
-        if restarts[0] > self.policy.max_worker_restarts:
-            self._give_up_all(
-                sorted(overdue + bystanders, key=lambda t: t.position),
-                pending, "worker-restart budget exhausted",
-                results, progress, done_box,
-            )
-            return
-        for tracked in sorted(bystanders, key=lambda t: t.position, reverse=True):
-            tracked.executions -= 1  # aborted, not failed
-            pending.appendleft(tracked)
-        for tracked in sorted(overdue, key=lambda t: t.position):
-            self._record_deadline(tracked, pending, results, progress, done_box)
-
-    def _record_crash(
-        self, tracked, requeue, results, progress, done_box
-    ) -> None:
+        """File one failed execution; retry it from the queue front or
+        give up on the flow."""
         spec = tracked.spec
+        policy = tracked.retry_policy
         tracked.failures.append(
-            FlowFailure(
-                flow_id=spec.flow_id,
-                attempt=tracked.executions - 1,
-                seed=spec.seed,
-                error_type="WorkerCrashError",
-                error=(
-                    "worker process died while running this flow "
-                    f"(exit status {_CRASH_EXIT_STATUS} or signal); "
-                    "pool rebuilt"
-                ),
-                failure_class="worker_crash",
-            )
+            _failure(spec, tracked.executions - 1, spec.seed, error, failure_class)
         )
-        print(
-            f"supervise: worker crashed on {spec.flow_id!r} "
-            f"(execution {tracked.executions - 1}); pool rebuilt",
-            file=sys.stderr,
-            flush=True,
-        )
-        self._retry_or_give_up(tracked, requeue, results, progress, done_box)
-
-    def _record_deadline(
-        self, tracked, requeue, results, progress, done_box
-    ) -> None:
-        spec = tracked.spec
-        deadline = self.policy.deadline_s
-        tracked.failures.append(
-            FlowFailure(
-                flow_id=spec.flow_id,
-                attempt=tracked.executions - 1,
-                seed=spec.seed,
-                error_type="DeadlineExceededError",
-                error=(
-                    f"flow exceeded its {deadline:g}s wall-clock deadline; "
-                    "worker killed"
-                ),
-                failure_class="deadline",
-            )
-        )
-        print(
-            f"supervise: {spec.flow_id!r} exceeded its {deadline:g}s "
-            f"deadline (execution {tracked.executions - 1}); worker killed",
-            file=sys.stderr,
-            flush=True,
-        )
-        self._retry_or_give_up(tracked, requeue, results, progress, done_box)
-
-    def _record_worker_error(
-        self, tracked, error, requeue, results, progress, done_box
-    ) -> None:
-        """A worker-side exception that escaped the payload's own retry
-        loop (injected chaos, pickling trouble): taxonomy applies."""
-        spec = tracked.spec
-        failure_class = tracked.retry_policy.classify(error)
-        tracked.failures.append(
-            FlowFailure(
-                flow_id=spec.flow_id,
-                attempt=tracked.executions - 1,
-                seed=spec.seed,
-                error_type=type(error).__name__,
-                error=str(error),
-                failure_class=failure_class,
-            )
-        )
-        if failure_class == "deterministic":
+        last = f"{type(error).__name__}: {error}"
+        if not policy.retries(failure_class):
+            self._give_up(batch, tracked, f"deterministic failure: {last}")
+        elif len(tracked.failures) >= policy.max_attempts:
             self._give_up(
+                batch,
                 tracked,
-                f"deterministic failure: {type(error).__name__}: {error}",
-                results, progress, done_box,
+                f"supervisor gave up after {len(tracked.failures)} "
+                f"failed executions; last: {last}",
             )
-            return
-        self._retry_or_give_up(tracked, requeue, results, progress, done_box)
+        else:
+            batch.pending.appendleft(tracked)
 
-    def _retry_or_give_up(
-        self, tracked, requeue, results, progress, done_box
-    ) -> None:
-        budget = tracked.retry_policy.max_attempts
-        if len(tracked.failures) >= budget:
-            last = tracked.failures[-1]
-            self._give_up(
-                tracked,
-                (
-                    f"supervisor gave up after {len(tracked.failures)} "
-                    f"failed executions; last: {last.error_type}: {last.error}"
-                ),
-                results, progress, done_box,
-            )
-            return
-        requeue.appendleft(tracked)
-
-    def _give_up(self, tracked, reason, results, progress, done_box) -> None:
-        spec = tracked.spec
-        outcome = FlowOutcome(
-            index=tracked.payload[0],
-            spec=spec,
-            result=None,
-            trace=None,
-            failures=list(tracked.failures),
-            quarantine=QuarantineRecord(
-                flow_id=spec.flow_id, seed=spec.seed, reason=reason
-            ),
-            attempts=max(len(tracked.failures), 1),
+    @staticmethod
+    def _give_up(batch: _Batch, tracked: _Tracked, reason: str) -> None:
+        failures, tracked.failures = tracked.failures, []  # on the outcome now
+        outcome = _quarantined(
+            tracked.payload[0], tracked.spec, failures, reason,
+            max(len(failures), 1),
         )
-        tracked.failures = []  # already on the outcome; don't double-merge
-        self._complete(tracked, outcome, results, progress, done_box)
+        batch.complete(tracked, outcome)
 
-    def _give_up_all(
-        self, suspects, pending, reason, results, progress, done_box
-    ) -> None:
+    def _give_up_all(self, batch: _Batch, suspects, reason: str) -> None:
+        pending = batch.pending
         print(
             f"supervise: {reason} "
             f"(max_worker_restarts={self.policy.max_worker_restarts}); "
@@ -811,42 +688,8 @@ class SupervisedBackend:
             flush=True,
         )
         for tracked in list(suspects) + list(pending):
-            self._give_up(tracked, reason, results, progress, done_box)
+            self._give_up(batch, tracked, reason)
         pending.clear()
-
-    # -- completion ----------------------------------------------------
-
-    def _complete(self, tracked, outcome, results, progress, done_box) -> None:
-        """Merge supervisor-level failures into the outcome and file it."""
-        if tracked.failures:
-            outcome.failures = list(tracked.failures) + list(outcome.failures)
-            outcome.attempts += len(tracked.failures)
-        if outcome.result is not None and isinstance(
-            outcome.result.telemetry, CountingTelemetry
-        ):
-            telemetry = outcome.result.telemetry
-            telemetry.worker_crashes = sum(
-                1 for f in outcome.failures if f.failure_class == "worker_crash"
-            )
-            telemetry.deadline_preemptions = sum(
-                1 for f in outcome.failures if f.failure_class == "deadline"
-            )
-        results[tracked.position] = outcome
-        done_box[0] += 1
-        if progress is not None:
-            progress(done_box[0])
-
-    @staticmethod
-    def _skipped_outcome(position: int, payload: Tuple) -> FlowOutcome:
-        index, spec, _policy = payload
-        return FlowOutcome(
-            index=index,
-            spec=spec,
-            result=None,
-            trace=None,
-            attempts=0,
-            skipped=True,
-        )
 
     # -- pool plumbing -------------------------------------------------
 
@@ -855,6 +698,14 @@ class SupervisedBackend:
         return ProcessPoolExecutor(
             max_workers=max(workers, 1), mp_context=get_context("spawn")
         )
+
+    @staticmethod
+    def _lost_worker(pool: ProcessPoolExecutor) -> bool:
+        """Whether one of the pool's workers has exited — it died, as
+        workers only exit at shutdown (the private process table, as in
+        :meth:`_kill_pool`)."""
+        processes = getattr(pool, "_processes", None) or {}
+        return any(p.exitcode is not None for p in list(processes.values()))
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -872,14 +723,8 @@ class SupervisedBackend:
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def _drain_inflight(
-        self, pool, inflight, results, progress, done_box
-    ) -> None:
+    def _drain_inflight(self, pool, inflight, batch: _Batch) -> None:
         """Signal drain: give in-flight flows ``grace_s``, then kill."""
-        if not inflight:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            return
         done, not_done = wait(list(inflight), timeout=self.policy.grace_s)
         for future in done:
             tracked = inflight.pop(future)
@@ -888,7 +733,7 @@ class SupervisedBackend:
             except BaseException:
                 tracked.executions -= 1  # lost to the drain, not failed
             else:
-                self._complete(tracked, outcome, results, progress, done_box)
+                batch.complete(tracked, outcome)
         for future in not_done:
             tracked = inflight.pop(future)
             tracked.executions -= 1  # preempted by the drain, not failed

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.exec.executor import _execute_payload
 from repro.fabric.coordinator import CampaignCoordinator
 from repro.fabric.shard import DEFAULT_SHARD_SIZE
 from repro.util.errors import ConfigurationError
@@ -246,6 +247,13 @@ class FabricBackend:
         items: Sequence,
         progress: Optional[Callable[[int], None]] = None,
     ) -> List:
+        if fn is not _execute_payload:
+            # Workers run the executor's attempt loop by name; no
+            # function crosses the wire.
+            raise ConfigurationError(
+                "the fabric runs executor payloads only: map() takes the "
+                f"function Executor.run maps, got {fn!r}"
+            )
         items = list(items)
         if not items:
             # The warm-cache fast path: an all-hits batch reaches the
@@ -255,7 +263,6 @@ class FabricBackend:
             return []
         config = self._effective_config()
         coordinator = CampaignCoordinator(
-            fn,
             items,
             shard_size=config.shard_size,
             lease_timeout_s=config.lease_timeout_s,

@@ -12,13 +12,15 @@ bytes identical to a serial run, regardless of how many workers ran,
 died, or joined along the way.
 
 The wire protocol is four JSON endpoints (pickles travel base64-inside
-JSON — payloads and outcomes are arbitrary Python objects; the fabric
-trusts its workers exactly as much as a process pool trusts its
-children)::
+JSON — executor payloads out, :class:`FlowOutcome` lists back; the
+fabric trusts its workers exactly as much as a process pool trusts its
+children).  Every worker runs
+:func:`~repro.exec.executor._execute_payload`, so no function crosses
+the wire::
 
-    GET  /campaign  -> {campaign, total_payloads, shards, store, fn}
+    GET  /campaign  -> {campaign, total_payloads, shards, store}
     POST /lease     -> {status: lease|wait|done, shard, epoch, payloads}
-    POST /complete  -> {accepted, done}
+    POST /complete  -> {accepted, done}   (400 when malformed)
     GET  /progress  -> {completed, total, shards_done, shards, ...}
 
 Completion acceptance is the lease table's epoch rule: one accepted
@@ -76,7 +78,10 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> Dict[str, object]:
         length = int(self.headers.get("Content-Length", "0"))
-        return json.loads(self.rfile.read(length) or b"{}")
+        data = json.loads(self.rfile.read(length) or b"{}")
+        if not isinstance(data, dict):
+            raise ValueError("request body must be a JSON object")
+        return data
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler name
         if self.path == "/campaign":
@@ -89,23 +94,28 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             self._respond_json(404, {"error": "unknown path"})
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib handler name
-        if self.path == "/lease":
-            data = self._read_json()
-            self._respond_json(
-                200, self._coordinator.lease(str(data.get("worker", "anonymous")))
-            )
-        elif self.path == "/complete":
-            self._respond_json(200, self._coordinator.complete(self._read_json()))
-        else:
-            self._respond_json(404, {"error": "unknown path"})
+        try:
+            if self.path == "/lease":
+                data = self._read_json()
+                verdict = self._coordinator.lease(
+                    str(data.get("worker", "anonymous"))
+                )
+            elif self.path == "/complete":
+                verdict = self._coordinator.complete(self._read_json())
+            else:
+                self._respond_json(404, {"error": "unknown path"})
+                return
+        except ValueError as error:  # a body that is not JSON, or malformed
+            self._respond_json(400, {"error": str(error)})
+            return
+        self._respond_json(200, verdict)
 
 
 class CampaignCoordinator:
-    """Lease out one payload batch and merge what comes back."""
+    """Lease out one batch of executor payloads and merge what comes back."""
 
     def __init__(
         self,
-        fn: Callable,
         payloads: Sequence[Tuple],
         *,
         shard_size: int = DEFAULT_SHARD_SIZE,
@@ -114,7 +124,6 @@ class CampaignCoordinator:
         store: Optional[str] = None,
         campaign_id: str = "campaign",
     ) -> None:
-        self.fn = fn
         self.payloads = list(payloads)
         self.plan = ShardPlan.for_payloads(self.payloads, shard_size=shard_size)
         self.leases = LeaseTable(
@@ -148,7 +157,6 @@ class CampaignCoordinator:
             "total_payloads": len(self.payloads),
             "shards": self.plan.shard_count,
             "store": self.store,
-            "fn": _pickle_b64(self.fn),
         }
 
     def lease(self, worker: str) -> Dict[str, object]:
@@ -171,9 +179,25 @@ class CampaignCoordinator:
             }
 
     def complete(self, data: Dict[str, object]) -> Dict[str, object]:
-        shard = int(data["shard"])
-        epoch = int(data["epoch"])
-        outcomes: List[FlowOutcome] = _unpickle_b64(data["outcomes"])
+        """Accept one shard's outcomes, or reject a stale completion.
+
+        A malformed completion raises ``ValueError`` before the lease
+        table sees it, so the lease stays live for a well-formed one.
+        """
+        try:
+            shard = int(data["shard"])
+            epoch = int(data["epoch"])
+            outcomes: List[FlowOutcome] = _unpickle_b64(data["outcomes"])
+        except Exception as error:
+            raise ValueError(f"malformed completion: {error!r}") from error
+        if not 0 <= shard < self.plan.shard_count:
+            raise ValueError(f"shard {shard} is not in the campaign's plan")
+        expected = len(self.plan.shards[shard])
+        if not isinstance(outcomes, list) or len(outcomes) != expected:
+            raise ValueError(
+                f"shard {shard} holds {expected} payloads; the completion "
+                "does not carry one outcome for each"
+            )
         with self._lock:
             accepted = self.leases.complete(shard, epoch)
             if accepted:

@@ -1,14 +1,15 @@
 """The fabric worker: claim a lease, run the shard, post it back.
 
-A worker is stateless and owns nothing: it learns the campaign (the
-pickled-by-reference map function and the store reference) from
-``GET /campaign``, then loops *claim → execute → complete* until the
-coordinator says the campaign is drained.  Everything that makes the
-fabric deterministic lives elsewhere — specs carry their own seeds, the
-lease table arbitrates duplicates — so a worker can be SIGKILLed at any
-instruction and the campaign still converges to the same bytes: its
-leased shard expires, another worker re-runs it, and the re-run is a
-pure function of the specs.
+A worker is stateless and owns nothing: it learns the campaign (its
+size and store reference) from ``GET /campaign``, then loops *claim →
+execute → complete* until the coordinator says the campaign is
+drained, running each leased payload through the executor's own
+attempt loop (:func:`~repro.exec.executor._execute_payload`).
+Everything that makes the fabric deterministic lives elsewhere — specs
+carry their own seeds, the lease table arbitrates duplicates — so a
+worker can be SIGKILLed at any instruction and the campaign still
+converges to the same bytes: its leased shard expires, another worker
+re-runs it, and the re-run is a pure function of the specs.
 
 When the campaign carries a store reference, the shard runs through a
 :class:`~repro.store.backend.CachedBackend` over that store (a
@@ -38,9 +39,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.executor import FlowOutcome
-from repro.telemetry.campaign import CampaignTelemetry
-from repro.telemetry.counters import CountingTelemetry
+from repro.exec.executor import FlowOutcome, _execute_payload, _merge_telemetry
 
 __all__ = ["FabricWorker"]
 
@@ -180,29 +179,13 @@ class FabricWorker:
 
         return open_store(ref)
 
-    def _run_shard(self, fn: Callable, payloads: List[Tuple], store) -> List[FlowOutcome]:
-        runner = _ShardRunner(self)
-        if store is None:
-            return runner.map(fn, payloads)
-        from repro.store.backend import CachedBackend
+    def _run_shard(self, payloads: List[Tuple], store) -> List[FlowOutcome]:
+        backend = _ShardRunner(self)
+        if store is not None:
+            from repro.store.backend import CachedBackend
 
-        return CachedBackend(store, runner).map(fn, payloads)
-
-    @staticmethod
-    def _telemetry_delta(outcomes: List[FlowOutcome]) -> Optional[Dict[str, object]]:
-        delta: Optional[CampaignTelemetry] = None
-        for outcome in outcomes:
-            # the fabric maps arbitrary fns; only FlowOutcome-shaped
-            # results carry a telemetry summary worth streaming
-            result = getattr(outcome, "result", None)
-            if result is None or not isinstance(
-                getattr(result, "telemetry", None), CountingTelemetry
-            ):
-                continue
-            if delta is None:
-                delta = CampaignTelemetry()
-            delta.merge_flow(result.telemetry.summarise(outcome.spec.flow_id))
-        return None if delta is None else delta.to_dict()
+            backend = CachedBackend(store, backend)
+        return backend.map(_execute_payload, payloads)
 
     # -- the loop ------------------------------------------------------
 
@@ -213,7 +196,6 @@ class FabricWorker:
         except OSError as error:
             self._note(f"cannot reach coordinator: {error}")
             return 1
-        fn = pickle.loads(base64.b64decode(campaign["fn"]))
         store = self._open_store(campaign.get("store"))
         self._note(
             f"joined campaign {campaign.get('campaign')!r}: "
@@ -245,16 +227,16 @@ class FabricWorker:
             shard = int(job["shard"])
             epoch = int(job["epoch"])
             payloads: List[Tuple] = pickle.loads(base64.b64decode(job["payloads"]))
-            outcomes = self._run_shard(fn, payloads, store)
+            outcomes = self._run_shard(payloads, store)
             completion = {
                 "shard": shard,
                 "epoch": epoch,
                 "worker": self.worker_id,
                 "outcomes": base64.b64encode(pickle.dumps(outcomes)).decode("ascii"),
             }
-            delta = self._telemetry_delta(outcomes)
+            delta = _merge_telemetry(outcomes)
             if delta is not None:
-                completion["telemetry"] = delta
+                completion["telemetry"] = delta.to_dict()
             try:
                 verdict = self.client.request("POST", "/complete", completion)
             except OSError as error:

@@ -3,16 +3,27 @@
 Where ``test_chaos_determinism`` proves the headline gate, this suite
 exercises each supervision path on its own: crash-once-then-recover,
 killer isolation among concurrent workers, injected worker-side raises,
-give-up after repeated crashes, the restart budget, and deadline
-preemption of a hung flow.
+give-up after repeated crashes, the restart budget, a worker death the
+pool itself misses, deadline preemption of a hung flow, and a signal
+drain during crash isolation.
 """
+
+import os
+import signal
+import time
+from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
 from repro.exec import Executor, ProcessPoolBackend, SerialBackend
 from repro.exec.chaos import ChaosBackend, ChaosPlan
 from repro.exec.spec import FlowSpec
-from repro.exec.supervise import SupervisorPolicy
+from repro.exec.supervise import (
+    SupervisedBackend,
+    SupervisorPolicy,
+    clear_interrupt,
+)
 from repro.robustness.campaign import RetryPolicy
 from repro.simulator.connection import ConnectionConfig
 
@@ -109,6 +120,45 @@ class TestCrashRecovery:
         )
 
 
+class _UnnoticedDeathPool:
+    """An in-process stand-in pool whose worker dies on a ``crash``
+    action without the pool noticing — what a real pool does when the
+    worker was spawned while its manager thread was already waiting."""
+
+    def __init__(self):
+        self._processes = {}
+
+    def submit(self, call, fn, payload, action):
+        future = Future()
+        if action == ("crash",):
+            self._processes[0] = SimpleNamespace(
+                exitcode=71, terminate=lambda: None
+            )
+        else:
+            future.set_result(fn(payload))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestUnnoticedWorkerDeath:
+    def test_dead_worker_is_a_crash_not_a_deadline(self, monkeypatch):
+        monkeypatch.setattr(
+            SupervisedBackend, "_fresh_pool",
+            staticmethod(lambda workers: _UnnoticedDeathPool()),
+        )
+        plan = ChaosPlan(crash={"f/1": (0,)})
+        backend = ChaosBackend(
+            plan, ProcessPoolBackend(2), policy=SupervisorPolicy(deadline_s=5.0)
+        )
+        result = Executor(backend=backend).run(specs(3))
+        assert result.report.succeeded == 3
+        (failure,) = result.report.failures
+        assert failure.flow_id == "f/1"
+        assert failure.failure_class == "worker_crash"
+
+
 class TestInjectedRaise:
     def test_raise_is_classified_and_retried(self):
         plan = ChaosPlan(raise_={"f/1": (0,)})
@@ -163,3 +213,53 @@ class TestDeadlinePreemption:
         for outcome in result.outcomes:
             if outcome.spec.flow_id != "f/0":
                 assert outcome.failures == []
+
+
+class _SignalOnIsolationProbe(ChaosBackend):
+    """Sends one SIGTERM to this process when ``target`` is submitted
+    at execution 0 for the second time — its re-run as an isolation
+    suspect after the first pool break."""
+
+    def __init__(self, *args, target, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.target = target
+        self.submissions = 0
+
+    def _action_for(self, payload, execution):
+        if payload[1].flow_id == self.target and execution == 0:
+            self.submissions += 1
+            if self.submissions == 2:
+                os.kill(os.getpid(), signal.SIGTERM)
+        return super()._action_for(payload, execution)
+
+
+class TestDrainDuringIsolation:
+    def test_drain_stops_isolation(self):
+        # f/0 kills its worker while f/1 hangs beside it, so both are
+        # suspects.  Isolation re-runs f/0 alone (the killer), then f/1;
+        # the drain that arrives with f/1 must stop it within grace_s,
+        # long before its deadline, and leave it unrun.
+        deadline_s = 20.0
+        plan = ChaosPlan(crash={"f/0": (0,)}, hang={"f/1": (0,)}, hang_s=120.0)
+        backend = _SignalOnIsolationProbe(
+            plan,
+            ProcessPoolBackend(2),
+            policy=SupervisorPolicy(deadline_s=deadline_s, grace_s=0.5),
+            target="f/1",
+        )
+        clear_interrupt()
+        start = time.monotonic()
+        try:
+            result = Executor(backend=backend).run(specs(2))
+        finally:
+            clear_interrupt()
+        elapsed = time.monotonic() - start
+        assert backend.submissions == 2
+        killer, hung = result.outcomes
+        assert hung.skipped
+        assert result.report.interrupted
+        assert hung.failures == []
+        assert all(f.failure_class != "deadline" for f in result.report.failures)
+        assert killer.ok
+        assert [f.failure_class for f in killer.failures] == ["worker_crash"]
+        assert elapsed < deadline_s / 2

@@ -7,11 +7,16 @@ or which worker ran it.  These tests run real HTTP over the loopback
 full backend with spawned worker subprocesses.
 """
 
+import base64
+import http.client
+import json
 import pickle
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.exec import Executor, FlowSpec
+from repro.exec.executor import _execute_payload
 from repro.fabric import (
     CampaignCoordinator,
     FabricBackend,
@@ -39,21 +44,42 @@ def _specs(n=4, duration=3.0):
     ]
 
 
-def _double(payload):
-    """A picklable-by-reference map function for coordinator tests."""
-    index, value = payload
-    return (index, value * 2)
+def _payloads(n=1, duration=1.0):
+    """Executor payloads of short flows, as ``Executor.run`` submits them."""
+    return [
+        (index, spec, RetryPolicy())
+        for index, spec in enumerate(_specs(n, duration))
+    ]
+
+
+def _digest(outcomes):
+    return [
+        (o.index, o.spec.flow_id, pickle.dumps(o.result.log)) for o in outcomes
+    ]
+
+
+def _request(url, method, path, body=None):
+    """One raw request on a fresh connection: (status, decoded JSON)."""
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 class TestCoordinatorAndWorker:
     def test_in_process_worker_drains_the_campaign(self):
-        payloads = [(i, i + 10) for i in range(7)]
-        coordinator = CampaignCoordinator(_double, payloads, shard_size=2)
+        payloads = _payloads(7)
+        coordinator = CampaignCoordinator(payloads, shard_size=2)
         with coordinator.serving() as url:
             worker = FabricWorker(url, worker_id="t1", poll_s=0.01)
             assert worker.run() == 0
             results = coordinator.wait(timeout_s=5.0)
-        assert results == [(i, (i + 10) * 2) for i in range(7)]
+        expected = [_execute_payload(payload) for payload in payloads]
+        assert _digest(results) == _digest(expected)
         assert worker.executed == 7
         info = coordinator.progress_info()
         assert info["completed"] == 7
@@ -61,7 +87,7 @@ class TestCoordinatorAndWorker:
         assert info["completions_rejected"] == 0
 
     def test_second_worker_joins_a_drained_campaign_cleanly(self):
-        coordinator = CampaignCoordinator(_double, [(0, 1)], shard_size=4)
+        coordinator = CampaignCoordinator(_payloads(), shard_size=4)
         with coordinator.serving() as url:
             assert FabricWorker(url, worker_id="a", poll_s=0.01).run() == 0
             late = FabricWorker(url, worker_id="b", poll_s=0.01)
@@ -69,7 +95,7 @@ class TestCoordinatorAndWorker:
             assert late.executed == 0
 
     def test_worker_against_a_dead_coordinator_exits_nonzero(self):
-        coordinator = CampaignCoordinator(_double, [(0, 1)])
+        coordinator = CampaignCoordinator(_payloads())
         with coordinator.serving() as url:
             pass  # server torn down; url now points at nothing
         worker = FabricWorker(url, worker_id="orphan", poll_s=0.01)
@@ -77,9 +103,90 @@ class TestCoordinatorAndWorker:
         assert worker.run() == 1
 
     def test_wait_timeout_raises(self):
-        coordinator = CampaignCoordinator(_double, [(0, 1)])
+        coordinator = CampaignCoordinator(_payloads())
         with pytest.raises(TimeoutError):
             coordinator.wait(poll_s=0.01, timeout_s=0.05)
+
+    def test_campaign_carries_no_function(self):
+        coordinator = CampaignCoordinator(_payloads(2))
+        with coordinator.serving() as url:
+            status, campaign = _request(url, "GET", "/campaign")
+        assert status == 200
+        assert "fn" not in campaign
+        assert campaign["total_payloads"] == 2
+
+
+class TestCompleteValidation:
+    """A malformed ``POST /complete`` gets 400 before the lease table
+    sees it, so the shard's lease stays live for a well-formed one."""
+
+    @pytest.fixture
+    def leased(self):
+        coordinator = CampaignCoordinator(_payloads(2), shard_size=2)
+        with coordinator.serving() as url:
+            status, lease = _request(
+                url, "POST", "/lease", json.dumps({"worker": "t"}).encode()
+            )
+            assert status == 200 and lease["status"] == "lease"
+            yield coordinator, url, lease
+
+    @staticmethod
+    def _completion(lease, outcomes=None, **overrides):
+        if outcomes is None:
+            payloads = pickle.loads(base64.b64decode(lease["payloads"]))
+            outcomes = [_execute_payload(payload) for payload in payloads]
+        body = {
+            "shard": lease["shard"],
+            "epoch": lease["epoch"],
+            "worker": "t",
+            "outcomes": base64.b64encode(pickle.dumps(outcomes)).decode("ascii"),
+        }
+        body.update(overrides)
+        return {key: value for key, value in body.items() if value is not None}
+
+    @staticmethod
+    def _assert_rejected_and_lease_live(coordinator, url, lease, body):
+        status, verdict = _request(url, "POST", "/complete", body)
+        assert status == 400
+        assert "error" in verdict
+        assert coordinator.leases.done_count == 0
+        assert coordinator.completed == 0
+        good = TestCompleteValidation._completion(lease)
+        status, verdict = _request(
+            url, "POST", "/complete", json.dumps(good).encode()
+        )
+        assert status == 200 and verdict["accepted"] is True
+
+    def test_body_that_is_not_json(self, leased):
+        coordinator, url, lease = leased
+        self._assert_rejected_and_lease_live(
+            coordinator, url, lease, b"{not json"
+        )
+
+    @pytest.mark.parametrize("field", ["shard", "epoch"])
+    def test_body_missing_shard_or_epoch(self, leased, field):
+        coordinator, url, lease = leased
+        body = self._completion(lease, **{field: None})
+        self._assert_rejected_and_lease_live(
+            coordinator, url, lease, json.dumps(body).encode()
+        )
+
+    @pytest.mark.parametrize("shard", [-1, 99])
+    def test_shard_not_in_the_plan(self, leased, shard):
+        coordinator, url, lease = leased
+        body = self._completion(lease, shard=shard)
+        self._assert_rejected_and_lease_live(
+            coordinator, url, lease, json.dumps(body).encode()
+        )
+
+    def test_outcome_count_differs_from_the_shard(self, leased):
+        coordinator, url, lease = leased
+        payloads = pickle.loads(base64.b64decode(lease["payloads"]))
+        short = [_execute_payload(payload) for payload in payloads][:-1]
+        body = self._completion(lease, outcomes=short)
+        self._assert_rejected_and_lease_live(
+            coordinator, url, lease, json.dumps(body).encode()
+        )
 
 
 class TestFabricBackend:
@@ -118,8 +225,14 @@ class TestFabricBackend:
 
     def test_empty_batch_short_circuits(self):
         backend = FabricBackend(FabricConfig(workers=2))
-        assert backend.map(_double, []) == []
+        assert backend.map(_execute_payload, []) == []
         assert backend.last_stats["workers_spawned"] == 0
+
+    def test_backend_runs_executor_payloads_only(self):
+        backend = FabricBackend(FabricConfig(workers=0))
+        with pytest.raises(ConfigurationError, match="executor payloads"):
+            backend.map(len, _payloads())
+        assert backend.last_stats is None
 
     def test_backend_is_self_supervising(self):
         assert FabricBackend.self_supervising is True
